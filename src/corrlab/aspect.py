@@ -12,14 +12,15 @@ such trials by parameter value into complete setting quadruples forces each
 quadruple's gamma to ±2, which is the statistical route to the bound
 |gamma| <= 2 for this model class.
 
-All sampling is deterministic given (seed, shards): trials are generated in
-fixed-size shards with per-shard derived seeds, so a sharded parallel run
-reproduces the serial one bit for bit.
+All sampling is deterministic given the seed: each purpose (row choice,
+outcome choice, hidden parameter, settings) draws from its own stream derived
+from the seed, so a run reproduces bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -87,11 +88,7 @@ def qm_matrix(angles_radians: Sequence[float]) -> StochasticMatrix:
     """Sampling table whose rows carry covariance -cos(angle) per setting pair."""
     if len(angles_radians) != 4:
         raise DomainError("need exactly four angles for (ab, ac, db, dc)")
-    rows = {}
-    for label, angle in zip(ROW_LABELS, angles_radians):
-        sigma = qm_covariance(angle)
-        rows[label] = pair_table_from_covariance(sigma).table
-    return StochasticMatrix(rows)
+    return matrix_from_covariances([qm_covariance(angle) for angle in angles_radians])
 
 
 def gamma_max_matrix() -> StochasticMatrix:
@@ -111,66 +108,42 @@ def matrix_from_covariances(sigmas: Sequence[Fraction]) -> StochasticMatrix:
         raise DomainError("need exactly four covariances for (ab, ac, db, dc)")
     return StochasticMatrix(
         {
-            label: pair_table_from_covariance(sigma).table
+            label: pair_table_from_covariance(sigma).atoms
             for label, sigma in zip(ROW_LABELS, sigmas)
         }
     )
 
 
-def _thresholds(row: Mapping[tuple[int, int], Fraction]) -> list[tuple[int, tuple[int, int]]]:
-    # Cumulative probabilities on the u64 lattice; exact up to 2^-64 rounding,
-    # which affects the sample path, not determinism.
+def _cumulative(probabilities: Iterable[Fraction]) -> list[int]:
+    """Cumulative probabilities on the u64 lattice for ``bisect_right``.
+
+    The 2^-64 rounding affects the sample path, not determinism.
+    """
     out = []
     cum = Fraction(0)
-    for outcome in _OUTCOMES:
-        cum += row[outcome]
-        out.append((min(int(cum * (1 << 64)), 1 << 64), outcome))
-    out[-1] = (1 << 64, out[-1][1])
+    for prob in probabilities:
+        cum += prob
+        out.append(min(int(cum * (1 << 64)), 1 << 64))
+    out[-1] = 1 << 64
     return out
 
 
-DEFAULT_SHARD_SIZE = 1 << 16
-
-
-def _shard_bounds(trials: int, shards: int) -> list[tuple[int, int]]:
-    base, extra = divmod(trials, shards)
-    bounds = []
-    start = 0
-    for s in range(shards):
-        size = base + (1 if s < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
 def sample_delayed_choice(
-    matrix: StochasticMatrix, trials: int, seed: int, shards: int = 1
+    matrix: StochasticMatrix, trials: int, seed: int
 ) -> list[RunRecord]:
-    """Simulate ``trials`` delayed-choice runs; deterministic in (seed, shards)."""
+    """Simulate ``trials`` delayed-choice runs; deterministic in the seed."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if shards < 1 or shards > trials:
-        raise DomainError("shards must be in [1, trials]")
-    records: list[RunRecord] = []
-    for shard_index, (start, stop) in enumerate(_shard_bounds(trials, shards)):
-        records.extend(_sample_shard(matrix, start, stop, seed, shard_index))
-    return records
-
-
-def _sample_shard(
-    matrix: StochasticMatrix, start: int, stop: int, seed: int, shard_index: int
-) -> list[RunRecord]:
-    """One shard's records; the unit of parallelism for sharded sampling."""
-    row_rng = SplitMix64(derive_seed(seed, f"aspect:rows:{shard_index}"))
-    out_rng = SplitMix64(derive_seed(seed, f"aspect:outcomes:{shard_index}"))
-    thresholds = [_thresholds(matrix.rows[label]) for label in ROW_LABELS]
+    row_rng = SplitMix64(derive_seed(seed, "aspect:rows:0"))
+    out_rng = SplitMix64(derive_seed(seed, "aspect:outcomes:0"))
+    thresholds = [
+        _cumulative(matrix.rows[label][outcome] for outcome in _OUTCOMES)
+        for label in ROW_LABELS
+    ]
     records = []
-    for trial in range(start, stop):
+    for trial in range(trials):
         row_index = row_rng.below(4)
-        u = out_rng.next_u64()
-        for threshold, outcome in thresholds[row_index]:
-            if u < threshold:
-                break
+        outcome = _OUTCOMES[bisect_right(thresholds[row_index], out_rng.next_u64())]
         records.append(RunRecord(ROW_LABELS[row_index], outcome, trial))
     return records
 
@@ -260,42 +233,34 @@ def random_source_model(seed: int, max_support: int = 8) -> SourceModel:
     return SourceModel(support, responses)
 
 
-def simulate_source_model(model: SourceModel, trials: int, seed: int) -> GammaEstimate:
-    """Sample the model with independent uniform setting choices per side."""
+def _source_counts(model: SourceModel, trials: int, seed: int) -> list[list[int]]:
+    """Trial counts per (parameter, setting row) of one seeded source run."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     lam_rng = SplitMix64(derive_seed(seed, "source:lambda"))
     set_rng = SplitMix64(derive_seed(seed, "source:settings"))
-    labels, thresholds = _support_thresholds(model)
-    products = [[model.row_product(row, label) for row in ROW_LABELS] for label in labels]
-    counts = [0, 0, 0, 0]
-    sums = [0, 0, 0, 0]
+    thresholds = _cumulative(prob for _, prob in model.support)
+    counts = [[0] * len(ROW_LABELS) for _ in model.support]
     for _ in range(trials):
-        lam = _pick(thresholds, lam_rng.next_u64())
-        row = set_rng.below(4)
-        counts[row] += 1
-        sums[row] += products[lam][row]
-    return _gamma_from_row_stats(
-        dict(zip(ROW_LABELS, counts)), dict(zip(ROW_LABELS, sums))
-    )
+        lam = bisect_right(thresholds, lam_rng.next_u64())
+        counts[lam][set_rng.below(4)] += 1
+    return counts
 
 
-def _support_thresholds(model: SourceModel):
-    labels = [label for label, _ in model.support]
-    out = []
-    cum = Fraction(0)
-    for _, prob in model.support:
-        cum += prob
-        out.append(min(int(cum * (1 << 64)), 1 << 64))
-    out[-1] = 1 << 64
-    return labels, out
+def _row_products(model: SourceModel) -> list[list[int]]:
+    return [[model.row_product(row, label) for row in ROW_LABELS] for label, _ in model.support]
 
 
-def _pick(thresholds: list[int], u: int) -> int:
-    for index, threshold in enumerate(thresholds):
-        if u < threshold:
-            return index
-    return len(thresholds) - 1  # pragma: no cover
+def simulate_source_model(model: SourceModel, trials: int, seed: int) -> GammaEstimate:
+    """Sample the model with independent uniform setting choices per side."""
+    counts = _source_counts(model, trials, seed)
+    products = _row_products(model)
+    row_counts = {}
+    row_sums = {}
+    for row, label in enumerate(ROW_LABELS):
+        row_counts[label] = sum(c[row] for c in counts)
+        row_sums[label] = sum(c[row] * p[row] for c, p in zip(counts, products))
+    return _gamma_from_row_stats(row_counts, row_sums)
 
 
 @dataclass(frozen=True)
@@ -322,28 +287,20 @@ class ReorderReport:
 
 def reorder_demonstration(model: SourceModel, trials: int, seed: int) -> ReorderReport:
     """Group simulated trials by parameter into quadruples and check gamma = ±2."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    lam_rng = SplitMix64(derive_seed(seed, "source:lambda"))
-    set_rng = SplitMix64(derive_seed(seed, "source:settings"))
-    labels, thresholds = _support_thresholds(model)
-    # per parameter, per row: list of observed products in arrival order
-    bucket: list[list[list[int]]] = [[[] for _ in ROW_LABELS] for _ in labels]
-    for _ in range(trials):
-        lam = _pick(thresholds, lam_rng.next_u64())
-        row = set_rng.below(4)
-        bucket[lam][row].append(model.row_product(ROW_LABELS[row], labels[lam]))
+    counts = _source_counts(model, trials, seed)
     gammas: set[int] = set()
     quadruples = 0
     discarded = 0
     per_parameter = {}
-    for lam, rows in enumerate(bucket):
-        complete = min(len(products) for products in rows)
-        per_parameter[labels[lam]] = complete
+    # A row's product is fixed per parameter, so every complete quadruple of
+    # one parameter has the same gamma.
+    for (label, _), rows, products in zip(model.support, counts, _row_products(model)):
+        complete = min(rows)
+        per_parameter[label] = complete
         quadruples += complete
-        discarded += sum(len(products) - complete for products in rows)
-        for i in range(complete):
-            gammas.add(rows[0][i] + rows[1][i] + rows[2][i] - rows[3][i])
+        discarded += sum(rows) - 4 * complete
+        if complete:
+            gammas.add(products[0] + products[1] + products[2] - products[3])
     return ReorderReport(
         trials=trials,
         quadruples=quadruples,

@@ -7,6 +7,11 @@ small ``key = value`` config (or a named preset), output is a structured
 report with a stable field order: a ``[provenance]`` block that is itself a
 valid config reproducing the run, followed by a ``[result]`` block.
 
+:data:`KEYS` is the single place a config key is defined: its parser and its
+renderer.  The table drives the key check and conversion in
+:func:`parse_config`, the ``[provenance]`` echo of every key that differs
+from its :class:`ExperimentConfig` default, and the command-line overrides.
+
 Exit codes: 0 success, 2 domain/config error, 3 capacity error, 4 network
 or protocol failure.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
@@ -34,6 +39,7 @@ from .aspect import (
 from .dist import DEFAULT_PRECISION, qm_covariance, rationalize
 from .errors import CapacityError, DomainError, ProtocolError
 from .ghz import (
+    EXPECTED_PRODUCT,
     NODES,
     REGIME_ORDER,
     default_assignment,
@@ -45,7 +51,6 @@ from .ghznet import (
     coordinator_run,
     node_serve,
     schedule_from_wire,
-    schedule_to_wire,
     verify_transcript,
 )
 from .inequalities import (
@@ -60,17 +65,6 @@ from .realizability import (
     four_cycle_system,
     triangle_system,
     verify_certificate,
-)
-
-MODES = (
-    "check",
-    "bell",
-    "chsh",
-    "aspect",
-    "source",
-    "ghz",
-    "ghz-net-coordinator",
-    "ghz-net-node",
 )
 
 STOCHASTIC_MODES = {"aspect", "source", "ghz", "ghz-net-coordinator"}
@@ -104,12 +98,15 @@ class ExperimentConfig:
     nodes: list[str] | None = None
 
 
+def _frac_text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+
+
 def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.strip().partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def _parse_angle(text: str) -> float:
@@ -118,6 +115,80 @@ def _parse_angle(text: str) -> float:
         if text.endswith(suffix):
             return float(text[: -len(suffix)].strip()) * factor
     raise ValueError(f"angle {text!r} needs a 'deg' or 'rad' suffix")
+
+
+def _parse_mode(text: str) -> str:
+    if text not in RUNNERS:
+        raise ValueError(f"unknown mode {text!r}")
+    return text
+
+
+def _parse_sigmas(text: str) -> list[Fraction]:
+    sigmas = [_parse_rational(part) for part in text.split(",")]
+    for sigma in sigmas:
+        if abs(sigma) > 1:
+            raise ValueError(f"{sigma} outside [-1, 1]")
+    return sigmas
+
+
+def positive_int(text: str) -> int:
+    """An integer >= 1, such as a trial count."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not an integer >= 1")
+    return value
+
+
+def _parse_precision(text: str) -> Fraction:
+    value = _parse_rational(text)
+    if value <= 0:
+        raise ValueError("precision must be positive")
+    return value
+
+
+def _parse_rademacher(text: str) -> tuple[int, int, int]:
+    indices = tuple(int(part) for part in text.split(","))
+    if len(indices) != 3 or len(set(indices)) != 3 or min(indices) < 1:
+        raise ValueError("rademacher needs three distinct indices >= 1")
+    return indices
+
+
+def _parse_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",")]
+
+
+def _join(render):
+    return lambda values: ", ".join(map(render, values))
+
+
+#: Every config key, in ``[provenance]`` order: key -> (parse, render).
+#: ``parse`` turns the config text into the ``ExperimentConfig`` field value
+#: and raises ValueError on bad input; ``render`` writes the value back.
+KEYS = {
+    "mode": (_parse_mode, str),
+    "sigmas": (_parse_sigmas, _join(_frac_text)),
+    "angles": (lambda text: [_parse_angle(part) for part in text.split(",")],
+               _join(lambda angle: f"{angle!r} rad")),
+    "matrix": (str, str),
+    "trials": (positive_int, str),
+    "seed": (int, str),
+    "lambdas": (positive_int, str),
+    "precision": (_parse_precision, _frac_text),
+    "rademacher": (_parse_rademacher, _join(str)),
+    "schedule": (str, str),
+    "nodes": (_parse_list, _join(str)),
+    "role": (str, str),
+    "listen": (str, str),
+}
+
+#: Keys that a command-line flag of the same name overrides, with its help.
+_OVERRIDES = {
+    "seed": "override the config seed",
+    "trials": "override the config trial count",
+    "role": "ghz-net role: coordinator or nodeN",
+    "listen": "ghz-net-node listen address host:port",
+    "nodes": "ghz-net-coordinator node addresses, comma separated",
+}
 
 
 def parse_config(text: str, require_seed: bool = True) -> ExperimentConfig:
@@ -140,88 +211,27 @@ def parse_config(text: str, require_seed: bool = True) -> ExperimentConfig:
         if key in values:
             problems.append(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
-
-    known = {
-        "mode", "seed", "trials", "sigmas", "angles", "matrix", "precision",
-        "lambdas", "rademacher", "schedule", "role", "listen", "nodes", "version",
-    }
-    for key in values:
-        if key not in known:
-            problems.append(f"unknown key {key!r}")
     values.pop("version", None)  # provenance echo, carries no settings
 
-    mode = values.get("mode")
-    if mode is None:
-        problems.append("missing mandatory key 'mode'")
-    elif mode not in MODES:
-        problems.append(f"unknown mode {mode!r}")
-
-    config = ExperimentConfig(mode=mode or "check")
-
-    def take(key, convert, describe):
-        if key not in values:
-            return None
+    settings = {}
+    for key, value in values.items():
+        if key not in KEYS:
+            problems.append(f"unknown key {key!r}")
+            continue
         try:
-            return convert(values[key])
-        except (ValueError, ZeroDivisionError) as exc:
-            problems.append(f"{key}: {describe}: {exc}")
-            return None
-
-    config.seed = take("seed", int, "malformed integer")
-    config.trials = take("trials", int, "malformed integer")
-    config.lambdas = take("lambdas", int, "malformed integer") or config.lambdas
-    config.matrix = values.get("matrix")
-    config.role = values.get("role")
-    config.listen = values.get("listen")
-    config.schedule = values.get("schedule")
-    if "nodes" in values:
-        config.nodes = [part.strip() for part in values["nodes"].split(",")]
-    precision = take("precision", _parse_rational, "malformed rational")
-    if precision is not None:
-        if precision <= 0:
-            problems.append("precision must be positive")
-        else:
-            config.precision = precision
-    if "rademacher" in values:
-        indices = take(
-            "rademacher",
-            lambda v: tuple(int(p) for p in v.split(",")),
-            "malformed index list",
-        )
-        if indices is not None:
-            if len(indices) == 3 and len(set(indices)) == 3 and min(indices) >= 1:
-                config.rademacher = indices
-            else:
-                problems.append("rademacher needs three distinct indices >= 1")
-
+            settings[key] = KEYS[key][0](value)
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
+    if "mode" not in values:
+        problems.append("missing mandatory key 'mode'")
     if "sigmas" in values and "angles" in values:
         problems.append("'sigmas' and 'angles' conflict; give one of them")
-    if "sigmas" in values:
-        sigmas = []
-        for part in values["sigmas"].split(","):
-            try:
-                sigma = _parse_rational(part)
-            except (ValueError, ZeroDivisionError) as exc:
-                problems.append(f"sigmas: malformed rational {part.strip()!r}: {exc}")
-                continue
-            if abs(sigma) > 1:
-                problems.append(f"sigmas: {sigma} outside [-1, 1]")
-            sigmas.append(sigma)
-        config.sigmas = sigmas
-    if "angles" in values:
-        angles = []
-        for part in values["angles"].split(","):
-            try:
-                angles.append(_parse_angle(part))
-            except ValueError as exc:
-                problems.append(f"angles: {exc}")
-        config.angles = angles
-
-    if require_seed and mode in STOCHASTIC_MODES and config.seed is None:
+    mode = settings.get("mode")
+    if require_seed and mode in STOCHASTIC_MODES and "seed" not in settings:
         problems.append(f"mode {mode!r} is stochastic: 'seed' is mandatory")
     if problems:
         raise ConfigError(problems)
-    return config
+    return ExperimentConfig(**settings)
 
 
 _SQRT_HALF = 1 / math.sqrt(2)
@@ -253,41 +263,20 @@ class Report:
         return "\n".join(f"{k} = {v}" for k, v in self.provenance)
 
     def render(self) -> str:
-        lines = ["[provenance]"]
-        lines.extend(f"{k} = {v}" for k, v in self.provenance)
-        lines.append("[result]")
+        lines = ["[provenance]", self.provenance_text(), "[result]"]
         lines.extend(f"{k} = {v}" for k, v in self.results)
         return "\n".join(lines) + "\n"
 
 
-def _frac_text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _provenance(config: ExperimentConfig) -> list[tuple[str, str]]:
-    pairs = [("version", __version__), ("mode", config.mode)]
-    if config.sigmas is not None:
-        pairs.append(("sigmas", ", ".join(_frac_text(s) for s in config.sigmas)))
-    if config.angles is not None:
-        pairs.append(("angles", ", ".join(f"{a!r} rad" for a in config.angles)))
-    if config.matrix is not None:
-        pairs.append(("matrix", config.matrix))
-    if config.trials is not None:
-        pairs.append(("trials", str(config.trials)))
-    if config.seed is not None:
-        pairs.append(("seed", str(config.seed)))
-    if config.precision != DEFAULT_PRECISION:
-        pairs.append(("precision", _frac_text(config.precision)))
-    if config.rademacher != (1, 2, 3):
-        pairs.append(("rademacher", ", ".join(map(str, config.rademacher))))
-    if config.schedule is not None:
-        pairs.append(("schedule", config.schedule))
-    if config.nodes is not None:
-        pairs.append(("nodes", ", ".join(config.nodes)))
-    if config.role is not None:
-        pairs.append(("role", config.role))
-    if config.listen is not None:
-        pairs.append(("listen", config.listen))
+    pairs = [("version", __version__)]
+    for key, (_parse, render) in KEYS.items():
+        value = getattr(config, key)
+        if value != _DEFAULTS[key]:
+            pairs.append((key, render(value)))
     return pairs
 
 
@@ -330,17 +319,7 @@ def _realizability_lines(system, results: list[tuple[str, str]]):
 def run(config: ExperimentConfig, out_path: str | None = None) -> Report:
     """Dispatch a validated config to its mode runner."""
     report = Report(provenance=_provenance(config))
-    runner = {
-        "check": _run_check,
-        "bell": _run_bell,
-        "chsh": _run_chsh,
-        "aspect": _run_aspect,
-        "source": _run_source,
-        "ghz": _run_ghz,
-        "ghz-net-coordinator": _run_coordinator,
-        "ghz-net-node": _run_node,
-    }[config.mode]
-    runner(config, report, out_path)
+    RUNNERS[config.mode](config, report, out_path)
     return report
 
 
@@ -465,7 +444,7 @@ def _run_ghz(config, report, out_path):
             (f"product[{regime.value}]",
              ", ".join(f"{p:+d}:{n}" for p, n in sorted(counts.items())))
         )
-        if set(counts) != {1 if regime.value == "xxx" else -1}:
+        if set(counts) != {EXPECTED_PRODUCT[regime]}:
             products_exact = False
     report.results.append(("products_exact", str(products_exact).lower()))
     for node in NODES:
@@ -527,25 +506,39 @@ def _run_node(config, report, out_path):
     report.summary = f"node {node_id} session complete"
 
 
+RUNNERS = {
+    "check": _run_check,
+    "bell": _run_bell,
+    "chsh": _run_chsh,
+    "aspect": _run_aspect,
+    "source": _run_source,
+    "ghz": _run_ghz,
+    "ghz-net-coordinator": _run_coordinator,
+    "ghz-net-node": _run_node,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrlab",
         description="Joint-distribution realizability checks and locality experiments.",
+        exit_on_error=False,
     )
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--preset", help="named built-in configuration")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--trials", type=int, help="override the config trial count")
     parser.add_argument("--out", help="write the report (or transcript) to this path")
     parser.add_argument("--summary", action="store_true", help="print the one-line summary only")
-    parser.add_argument("--role", help="ghz-net role: coordinator or nodeN")
-    parser.add_argument("--listen", help="ghz-net-node listen address host:port")
-    parser.add_argument("--nodes", help="ghz-net-coordinator node addresses, comma separated")
+    for key, help_text in _OVERRIDES.items():
+        parser.add_argument(f"--{key}", type=KEYS[key][0], help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         if args.config and args.preset:
             raise DomainError("--config and --preset are mutually exclusive")
@@ -556,18 +549,9 @@ def main(argv=None) -> int:
             config = preset_config(args.preset)
         else:
             raise DomainError("one of --config or --preset is required")
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.trials is not None:
-            config.trials = args.trials
-        if args.role is not None:
-            config.role = args.role
-        if args.listen is not None:
-            config.listen = args.listen
-        if args.nodes is not None:
-            config.nodes = [part.strip() for part in args.nodes.split(",")]
-        if config.mode in STOCHASTIC_MODES and config.seed is None:
-            raise DomainError(f"mode {config.mode!r} is stochastic: a seed is required")
+        for key in _OVERRIDES:
+            if getattr(args, key) is not None:
+                setattr(config, key, getattr(args, key))
 
         report = run(config, out_path=args.out)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -52,13 +52,6 @@ def rationalize(value: float, max_error: Fraction = DEFAULT_PRECISION) -> Fracti
     if abs(approx - exact) >= max_error:  # pragma: no cover - limit_denominator guarantee
         approx = exact
     return approx
-
-
-def rationalization_error(value: float, max_error: Fraction = DEFAULT_PRECISION) -> Fraction:
-    """Absolute error committed by :func:`rationalize` for ``value``."""
-    if isinstance(value, (Fraction, int)):
-        return ZERO
-    return abs(rationalize(value, max_error) - Fraction(value))
 
 
 def sign_vectors(arity: int) -> Iterable[SignVector]:
@@ -115,37 +108,7 @@ class JointTable:
         return hash((self.arity, frozenset(self.atoms.items())))
 
 
-@dataclass(frozen=True)
-class PairMarginal:
-    """The joint table of one pair of variables, keyed by (±1, ±1)."""
-
-    var_i: int
-    var_j: int
-    table: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.var_i == self.var_j:
-            raise DomainError("pair marginal needs two distinct variables")
-        cleaned = {}
-        total = ZERO
-        for key, mass in self.table.items():
-            vec = _check_sign_vector(key, 2)
-            mass = _as_rational(mass)
-            if mass < 0:
-                raise DomainError(f"negative mass {mass} on {vec}")
-            cleaned[vec] = mass
-            total += mass
-        if total != 1:
-            raise DomainError(f"pair masses sum to {total}, expected exactly 1")
-        object.__setattr__(self, "table", cleaned)
-
-    def as_joint(self) -> JointTable:
-        return JointTable(2, dict(self.table))
-
-
-def pair_table_from_covariance(
-    sigma, var_i: int = 0, var_j: int = 1
-) -> PairMarginal:
+def pair_table_from_covariance(sigma) -> JointTable:
     """Pair table with uniform ±1 marginals and covariance ``sigma``.
 
     Diagonal cells get (1+sigma)/4, off-diagonal cells (1-sigma)/4.
@@ -155,11 +118,7 @@ def pair_table_from_covariance(
         raise DomainError(f"covariance {sigma} outside [-1, 1]")
     same = (1 + sigma) / 4
     diff = (1 - sigma) / 4
-    return PairMarginal(
-        var_i,
-        var_j,
-        {(1, 1): same, (1, -1): diff, (-1, 1): diff, (-1, -1): same},
-    )
+    return JointTable(2, {(1, 1): same, (1, -1): diff, (-1, 1): diff, (-1, -1): same})
 
 
 def covariance_of(joint: JointTable, i: int, j: int) -> Fraction:

@@ -82,10 +82,6 @@ class Response:
             value *= rademacher(k, t)
         return value
 
-    def label(self) -> str:
-        body = ".".join(f"r{k}" for k in self.indices) or "1"
-        return ("-" if self.sign < 0 else "") + body
-
 
 @dataclass(frozen=True)
 class NodeAssignment:
@@ -166,12 +162,6 @@ class Schedule:
             if window.regime == Regime(regime):
                 return window
         raise DomainError(f"schedule has no window for regime {Regime(regime).value}")
-
-    def regime_at(self, t: Fraction) -> Regime | None:
-        for window in self.windows:
-            if window.contains(t):
-                return window.regime
-        return None
 
 
 def default_schedule() -> Schedule:

@@ -14,8 +14,6 @@ derived stream so that adding draws to one purpose never perturbs another.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -56,12 +54,3 @@ class SplitMix64:
 
     def sign(self) -> int:
         return 1 if self.next_u64() & 1 else -1
-
-    def fraction(self, denominator_bits: int = 32) -> Fraction:
-        """Uniform exact rational on the grid k / 2**bits inside [0, 1)."""
-        return Fraction(self.below(1 << denominator_bits), 1 << denominator_bits)
-
-
-def stream(seed: int, label: str) -> SplitMix64:
-    """Generator for the purpose-specific stream ``label`` of ``seed``."""
-    return SplitMix64(derive_seed(seed, label))

@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,6 @@ from corrlab.aspect import (
     ROW_LABELS,
     SourceModel,
     StochasticMatrix,
-    _sample_shard,
-    _shard_bounds,
     estimate_gamma,
     gamma_max_matrix,
     matrix_from_covariances,
@@ -56,30 +53,13 @@ class TestMatrices:
 
 
 class TestSampling:
-    def test_deterministic_given_seed_and_shards(self):
+    def test_deterministic_given_seed(self):
         matrix = qm_matrix(QM_ANGLES)
-        a = sample_delayed_choice(matrix, 2000, seed=11, shards=4)
-        b = sample_delayed_choice(matrix, 2000, seed=11, shards=4)
+        a = sample_delayed_choice(matrix, 2000, seed=11)
+        b = sample_delayed_choice(matrix, 2000, seed=11)
         assert a == b
-        assert a != sample_delayed_choice(matrix, 2000, seed=12, shards=4)
-
-    def test_threaded_shards_match_serial(self):
-        matrix = qm_matrix(QM_ANGLES)
-        shards = 8
-        trials = 5000
-        serial = sample_delayed_choice(matrix, trials, seed=3, shards=shards)
-        bounds = _shard_bounds(trials, shards)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            chunks = pool.map(
-                lambda item: _sample_shard(matrix, item[1][0], item[1][1], 3, item[0]),
-                enumerate(bounds),
-            )
-            threaded = [record for chunk in chunks for record in chunk]
-        assert threaded == serial
-
-    def test_trial_indices_are_contiguous(self):
-        records = sample_delayed_choice(gamma_max_matrix(), 100, seed=5, shards=3)
-        assert [r.trial for r in records] == list(range(100))
+        assert a != sample_delayed_choice(matrix, 2000, seed=12)
+        assert [r.trial for r in a] == list(range(2000))
 
     def test_rows_roughly_uniform(self):
         records = sample_delayed_choice(gamma_max_matrix(), 40000, seed=17)
@@ -96,8 +76,6 @@ class TestSampling:
         matrix = gamma_max_matrix()
         with pytest.raises(DomainError):
             sample_delayed_choice(matrix, 0, seed=1)
-        with pytest.raises(DomainError):
-            sample_delayed_choice(matrix, 10, seed=1, shards=11)
 
 
 class TestEstimateGamma:

@@ -2,18 +2,43 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from corrlab.cli import (
     ConfigError,
     EXIT_DOMAIN,
     EXIT_NETWORK,
     EXIT_OK,
+    RUNNERS,
+    STOCHASTIC_MODES,
+    ExperimentConfig,
+    Report,
+    _provenance,
     main,
     parse_config,
     preset_config,
     run,
 )
 from corrlab.errors import DomainError
+
+
+words = st.from_regex(r"[a-z0-9][a-z0-9:./-]*", fullmatch=True)
+
+#: A value strategy for every config key except ``mode``.
+CONFIG_VALUES = {
+    "seed": st.integers(-(2**63), 2**64),
+    "trials": st.integers(1, 10**9),
+    "sigmas": st.lists(st.fractions(-1, 1, max_denominator=10**9), min_size=1, max_size=4),
+    "angles": st.lists(st.floats(-10, 10), min_size=1, max_size=4),
+    "matrix": words,
+    "precision": st.fractions(min_value=Fraction(1, 10**12), max_value=1),
+    "lambdas": st.integers(1, 64),
+    "rademacher": st.lists(st.integers(1, 64), min_size=3, max_size=3, unique=True).map(tuple),
+    "schedule": words,
+    "role": words,
+    "listen": words,
+    "nodes": st.lists(words, min_size=1, max_size=3),
+}
 
 
 class TestParseConfig:
@@ -116,6 +141,17 @@ class TestReports:
         body = text.split("\n[result]\n")[1]
         assert all("=" in line for line in body.strip().splitlines())
 
+    @given(st.sampled_from(sorted(RUNNERS)), st.data())
+    def test_provenance_reproduces_every_key(self, mode, data):
+        settings = data.draw(st.fixed_dictionaries({}, optional=CONFIG_VALUES))
+        if "sigmas" in settings:
+            settings.pop("angles", None)  # the two keys conflict
+        if mode in STOCHASTIC_MODES:
+            settings.setdefault("seed", 1)
+        config = ExperimentConfig(mode=mode, **settings)
+        echoed = Report(provenance=_provenance(config)).provenance_text()
+        assert parse_config(echoed) == config
+
     def test_bell_mode_three_facts(self):
         report = run(
             parse_config("mode = bell\nangles = 135 deg, 135 deg, 90 deg\n")
@@ -177,6 +213,20 @@ class TestMainExitCodes:
         )
         assert main(["--config", str(path)]) == EXIT_NETWORK
         assert "network error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text, argv", [
+        ("mode = source\nseed = 5\ntrials = 0\n", []),
+        (None, ["--preset", "ghz-table5", "--trials", "0"]),
+        ("mode = source\nseed = 5\nlambdas = 0\n", []),
+        ("mode = source\nseed = 5\nlambdas = -3\n", []),
+    ])
+    def test_counts_below_one_exit_domain(self, tmp_path, capsys, config_text, argv):
+        if config_text is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config_text)
+            argv = ["--config", str(path)]
+        assert main(argv) == EXIT_DOMAIN
+        assert "config error:" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path, capsys):
         path = tmp_path / "ghz.cfg"

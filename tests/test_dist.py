@@ -29,19 +29,19 @@ def uniform_joint(arity):
 class TestPairTableFromCovariance:
     def test_irrational_covariance_rationalized(self):
         sigma = rationalize(1 / math.sqrt(2))
-        table = pair_table_from_covariance(sigma).table
-        assert table[(1, 1)] == table[(-1, -1)] == (1 + sigma) / 4
-        assert table[(1, -1)] == table[(-1, 1)] == (1 - sigma) / 4
-        assert abs(float(table[(1, 1)]) - (1 + 1 / math.sqrt(2)) / 4) < 1e-9
+        table = pair_table_from_covariance(sigma)
+        assert table.mass((1, 1)) == table.mass((-1, -1)) == (1 + sigma) / 4
+        assert table.mass((1, -1)) == table.mass((-1, 1)) == (1 - sigma) / 4
+        assert abs(float(table.mass((1, 1))) - (1 + 1 / math.sqrt(2)) / 4) < 1e-9
 
     def test_zero_covariance_gives_uniform_cells(self):
-        table = pair_table_from_covariance(Fraction(0)).table
-        assert all(mass == QUARTER for mass in table.values())
+        table = pair_table_from_covariance(Fraction(0))
+        assert all(table.mass(cell) == QUARTER for cell in sign_vectors(2))
 
     def test_perfect_correlation(self):
-        table = pair_table_from_covariance(Fraction(1)).table
-        assert table[(1, 1)] == table[(-1, -1)] == HALF
-        assert table[(1, -1)] == table[(-1, 1)] == 0
+        table = pair_table_from_covariance(Fraction(1))
+        assert table.mass((1, 1)) == table.mass((-1, -1)) == HALF
+        assert table.mass((1, -1)) == table.mass((-1, 1)) == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -49,7 +49,7 @@ class TestPairTableFromCovariance:
 
     @given(covariances)
     def test_single_variable_marginals_are_uniform(self, sigma):
-        joint = pair_table_from_covariance(sigma).as_joint()
+        joint = pair_table_from_covariance(sigma)
         for var in (0, 1):
             marginal = marginalize(joint, [var])
             assert marginal.mass((1,)) == HALF
@@ -57,7 +57,7 @@ class TestPairTableFromCovariance:
 
     @given(covariances)
     def test_covariance_round_trip(self, sigma):
-        joint = pair_table_from_covariance(sigma).as_joint()
+        joint = pair_table_from_covariance(sigma)
         assert covariance_of(joint, 0, 1) == sigma
 
 

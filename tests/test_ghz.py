@@ -87,8 +87,8 @@ class TestAssignmentIdentities:
 
     def test_response_labels(self):
         assignment = default_assignment()
-        assert assignment.response(1, Regime.YYX).label() == "-r1"
-        assert assignment.response(3, Regime.XXX).label() == "r1.r2"
+        assert assignment.response(1, Regime.YYX) == Response(-1, (1,))
+        assert assignment.response(3, Regime.XXX) == Response(1, (1, 2))
 
 
 class TestSchedule:
@@ -96,8 +96,9 @@ class TestSchedule:
         schedule = default_schedule()
         assert [w.regime for w in schedule.windows] == list(REGIME_ORDER)
         assert schedule.window_for(Regime.YYX).start == 1
-        assert schedule.regime_at(Fraction(3, 2)) == Regime.YYX
-        assert schedule.regime_at(Fraction(17, 8)) is None  # switching gap
+        assert schedule.window_for(Regime.YYX).contains(Fraction(3, 2))
+        # switching gap
+        assert not any(w.contains(Fraction(17, 8)) for w in schedule.windows)
 
     def test_overlap_rejected(self):
         with pytest.raises(DomainError):

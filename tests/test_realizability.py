@@ -13,11 +13,12 @@ from corrlab.realizability import (
     build_constraint_system,
     check_realizability,
     four_cycle_system,
-    realizability_oracle,
     system_from_pair_covariances,
     triangle_system,
     verify_certificate,
 )
+
+from oracle import realizability_oracle
 
 SQRT_HALF = rationalize(1 / math.sqrt(2))
 

@@ -1,6 +1,4 @@
-from fractions import Fraction
-
-from corrlab.rng import SplitMix64, derive_seed, stream
+from corrlab.rng import SplitMix64, derive_seed
 
 
 def test_reference_stream_is_frozen():
@@ -20,8 +18,10 @@ def test_same_seed_same_stream():
 def test_derived_streams_differ_by_label():
     assert derive_seed(1, "rows") != derive_seed(1, "outcomes")
     assert derive_seed(1, "rows") == derive_seed(1, "rows")
-    xs = [stream(1, "rows").next_u64() for _ in range(3)]
-    ys = [stream(1, "outcomes").next_u64() for _ in range(3)]
+    rows = SplitMix64(derive_seed(1, "rows"))
+    outcomes = SplitMix64(derive_seed(1, "outcomes"))
+    xs = [rows.next_u64() for _ in range(3)]
+    ys = [outcomes.next_u64() for _ in range(3)]
     assert xs != ys
 
 
@@ -30,10 +30,3 @@ def test_below_in_range_and_covers_values():
     seen = {rng.below(4) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
-
-def test_fraction_on_grid():
-    rng = SplitMix64(9)
-    for _ in range(50):
-        f = rng.fraction()
-        assert 0 <= f < 1
-        assert Fraction(f).denominator <= 1 << 32
