@@ -18,6 +18,7 @@ from corrlab.aspect import (
     simulate_source_model,
 )
 from corrlab.errors import DomainError, InsufficientDataError
+from corrlab.rng import SplitMix64, derive_seed
 
 QM_ANGLES = tuple(math.radians(d) for d in (135, 135, 135, 45))
 
@@ -53,13 +54,19 @@ class TestMatrices:
 
 
 class TestSampling:
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed_and_shards(self):
         matrix = qm_matrix(QM_ANGLES)
         a = sample_delayed_choice(matrix, 2000, seed=11)
         b = sample_delayed_choice(matrix, 2000, seed=11)
         assert a == b
         assert a != sample_delayed_choice(matrix, 2000, seed=12)
-        assert [r.trial for r in a] == list(range(2000))
+        # one shard: the rows come from the stream labelled shard 0
+        row_rng = SplitMix64(derive_seed(11, "aspect:rows:0"))
+        assert [r.row for r in a] == [ROW_LABELS[row_rng.below(4)] for _ in a]
+
+    def test_trial_indices_are_contiguous(self):
+        records = sample_delayed_choice(gamma_max_matrix(), 100, seed=5)
+        assert [r.trial for r in records] == list(range(100))
 
     def test_rows_roughly_uniform(self):
         records = sample_delayed_choice(gamma_max_matrix(), 40000, seed=17)
