@@ -12,6 +12,9 @@ such trials by parameter value into complete setting quadruples forces each
 quadruple's gamma to ±2, which is the statistical route to the bound
 |gamma| <= 2 for this model class.
 
+Both samplers return a count table, trials per (setting row, outcome pair),
+which is all that gamma depends on; :func:`estimate_gamma` reads it.
+
 All sampling is deterministic given the seed: each purpose (row choice,
 outcome choice, hidden parameter, settings) draws from its own stream derived
 from the seed, so a run reproduces bit for bit.
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dist import pair_table_from_covariance, qm_covariance
 from .errors import DomainError, InsufficientDataError
@@ -64,14 +67,8 @@ class StochasticMatrix:
         )
 
 
-class RunRecord(NamedTuple):
-    row: str
-    outcome: tuple[int, int]
-    trial: int
-
-    @property
-    def product(self) -> int:
-        return self.outcome[0] * self.outcome[1]
+#: Trial counts per setting row and outcome pair: row label -> outcome -> n.
+CountTable = Mapping[str, Mapping[tuple[int, int], int]]
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,8 @@ def _cumulative(probabilities: Iterable[Fraction]) -> list[int]:
     return out
 
 
-def sample_delayed_choice(
-    matrix: StochasticMatrix, trials: int, seed: int
-) -> list[RunRecord]:
-    """Simulate ``trials`` delayed-choice runs; deterministic in the seed."""
+def sample_delayed_choice(matrix: StochasticMatrix, trials: int, seed: int) -> CountTable:
+    """Count table of ``trials`` delayed-choice runs; deterministic in the seed."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     row_rng = SplitMix64(derive_seed(seed, "aspect:rows:0"))
@@ -140,45 +135,32 @@ def sample_delayed_choice(
         _cumulative(matrix.rows[label][outcome] for outcome in _OUTCOMES)
         for label in ROW_LABELS
     ]
-    records = []
-    for trial in range(trials):
-        row_index = row_rng.below(4)
-        outcome = _OUTCOMES[bisect_right(thresholds[row_index], out_rng.next_u64())]
-        records.append(RunRecord(ROW_LABELS[row_index], outcome, trial))
-    return records
+    counts = [[0] * len(_OUTCOMES) for _ in ROW_LABELS]
+    for _ in range(trials):
+        row = row_rng.below(4)
+        counts[row][bisect_right(thresholds[row], out_rng.next_u64())] += 1
+    return {label: dict(zip(_OUTCOMES, row)) for label, row in zip(ROW_LABELS, counts)}
 
 
-def _gamma_from_row_stats(
-    counts: Mapping[str, int], sums: Mapping[str, int]
-) -> GammaEstimate:
+def estimate_gamma(counts: CountTable) -> GammaEstimate:
+    """Gamma and its standard error from a count table; every row must have trials."""
+    row_counts = {label: sum(counts.get(label, {}).values()) for label in ROW_LABELS}
     means = {}
     variance_sum = 0.0
-    for label in ROW_LABELS:
-        n = counts.get(label, 0)
+    for label, n in row_counts.items():
         if n == 0:
             raise InsufficientDataError(f"no trials observed for row {label!r}")
-        mean = sums[label] / n
-        means[label] = mean
+        mean = means[label] = sum(a * b * k for (a, b), k in counts[label].items()) / n
         # Products are ±1, so the sample variance is n/(n-1) * (1 - mean^2).
         sample_var = (1 - mean * mean) * n / (n - 1) if n > 1 else 0.0
         variance_sum += sample_var / n
     gamma = means["ab"] + means["ac"] + means["db"] - means["dc"]
     return GammaEstimate(
         row_means=means,
-        row_counts={label: counts[label] for label in ROW_LABELS},
+        row_counts=row_counts,
         gamma=gamma,
         standard_error=math.sqrt(variance_sum),
     )
-
-
-def estimate_gamma(records: Iterable[RunRecord]) -> GammaEstimate:
-    """Gamma and its standard error from a record list; every row must appear."""
-    counts: dict[str, int] = {}
-    sums: dict[str, int] = {}
-    for record in records:
-        counts[record.row] = counts.get(record.row, 0) + 1
-        sums[record.row] = sums.get(record.row, 0) + record.product
-    return _gamma_from_row_stats(counts, sums)
 
 
 @dataclass(frozen=True)
@@ -247,20 +229,14 @@ def _source_counts(model: SourceModel, trials: int, seed: int) -> list[list[int]
     return counts
 
 
-def _row_products(model: SourceModel) -> list[list[int]]:
-    return [[model.row_product(row, label) for row in ROW_LABELS] for label, _ in model.support]
-
-
 def simulate_source_model(model: SourceModel, trials: int, seed: int) -> GammaEstimate:
     """Sample the model with independent uniform setting choices per side."""
-    counts = _source_counts(model, trials, seed)
-    products = _row_products(model)
-    row_counts = {}
-    row_sums = {}
-    for row, label in enumerate(ROW_LABELS):
-        row_counts[label] = sum(c[row] for c in counts)
-        row_sums[label] = sum(c[row] * p[row] for c, p in zip(counts, products))
-    return _gamma_from_row_stats(row_counts, row_sums)
+    table = {label: dict.fromkeys(_OUTCOMES, 0) for label in ROW_LABELS}
+    for (lam, _), rows in zip(model.support, _source_counts(model, trials, seed)):
+        for label, n in zip(ROW_LABELS, rows):
+            outcome = (model.responses[(label[0], lam)], model.responses[(label[1], lam)])
+            table[label][outcome] += n
+    return estimate_gamma(table)
 
 
 @dataclass(frozen=True)
@@ -274,11 +250,9 @@ class ReorderReport:
     quadruple has gamma ±2 regardless.)
     """
 
-    trials: int
     quadruples: int
     discarded: int
     gammas_seen: tuple[int, ...]
-    per_parameter: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def all_plus_minus_two(self) -> bool:
@@ -291,20 +265,17 @@ def reorder_demonstration(model: SourceModel, trials: int, seed: int) -> Reorder
     gammas: set[int] = set()
     quadruples = 0
     discarded = 0
-    per_parameter = {}
     # A row's product is fixed per parameter, so every complete quadruple of
     # one parameter has the same gamma.
-    for (label, _), rows, products in zip(model.support, counts, _row_products(model)):
+    for (label, _), rows in zip(model.support, counts):
         complete = min(rows)
-        per_parameter[label] = complete
         quadruples += complete
         discarded += sum(rows) - 4 * complete
         if complete:
+            products = [model.row_product(row, label) for row in ROW_LABELS]
             gammas.add(products[0] + products[1] + products[2] - products[3])
     return ReorderReport(
-        trials=trials,
         quadruples=quadruples,
         discarded=discarded,
         gammas_seen=tuple(sorted(gammas)),
-        per_parameter=per_parameter,
     )

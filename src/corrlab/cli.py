@@ -13,13 +13,14 @@ renderer.  The table drives the key check and conversion in
 from its :class:`ExperimentConfig` default, and the command-line overrides.
 
 Exit codes: 0 success, 2 domain/config error, 3 capacity error, 4 network
-or protocol failure.
+or protocol failure.  A reader that closes stdout early is not a failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -153,8 +154,29 @@ def _parse_rademacher(text: str) -> tuple[int, int, int]:
     return indices
 
 
-def _parse_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",")]
+def _parse_schedule(text: str) -> str:
+    try:
+        schedule_from_wire(text)
+    except ProtocolError as exc:
+        raise ValueError(exc) from None
+    return text
+
+
+def _address(text: str) -> tuple[str, int]:
+    """(host, port) of ``host:port`` text; the host defaults to 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"{text!r} is not host:port with a port in 0-65535")
+    return host or "127.0.0.1", int(port)
+
+
+def endpoint(text: str) -> str:
+    _address(text)
+    return text
+
+
+def endpoint_list(text: str) -> list[str]:
+    return [endpoint(part.strip()) for part in text.split(",")]
 
 
 def _join(render):
@@ -175,10 +197,10 @@ KEYS = {
     "lambdas": (positive_int, str),
     "precision": (_parse_precision, _frac_text),
     "rademacher": (_parse_rademacher, _join(str)),
-    "schedule": (str, str),
-    "nodes": (_parse_list, _join(str)),
+    "schedule": (_parse_schedule, str),
+    "nodes": (endpoint_list, _join(str)),
     "role": (str, str),
-    "listen": (str, str),
+    "listen": (endpoint, str),
 }
 
 #: Keys that a command-line flag of the same name overrides, with its help.
@@ -456,17 +478,12 @@ def _run_ghz(config, report, out_path):
     report.summary = f"products exact: {products_exact} ({trials} trials/regime)"
 
 
-def _parse_endpoint(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
-
-
 def _run_coordinator(config, report, out_path):
     if not config.nodes or len(config.nodes) != 3:
         raise DomainError("ghz-net-coordinator needs 'nodes' with three host:port entries")
     schedule = _ghz_schedule(config)
     trials = config.trials or 100
-    endpoints = [_parse_endpoint(n) for n in config.nodes]
+    endpoints = [_address(n) for n in config.nodes]
     transcript = coordinator_run(schedule, trials, config.seed, endpoints)
     if out_path:
         transcript.save(out_path)
@@ -501,7 +518,7 @@ def _run_node(config, report, out_path):
     def announce(address):
         print(f"listening {address[0]}:{address[1]}", flush=True)
 
-    node_serve(node_id, default_assignment(config.rademacher), _parse_endpoint(config.listen), announce)
+    node_serve(node_id, default_assignment(config.rademacher), _address(config.listen), announce)
     report.results.append(("served", "done"))
     report.summary = f"node {node_id} session complete"
 
@@ -572,12 +589,17 @@ def main(argv=None) -> int:
     if args.out and config.mode != "ghz-net-coordinator":
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    if args.summary:
-        print(report.summary)
-    else:
-        sys.stdout.write(text)
-        if report.summary:
-            print(f"# {report.summary}")
+    try:
+        if args.summary:
+            print(report.summary)
+        else:
+            sys.stdout.write(text)
+            if report.summary:
+                print(f"# {report.summary}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``); the flush at exit goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError
 from .rng import SplitMix64, derive_seed
@@ -156,6 +156,8 @@ class Schedule:
             if window.start < previous_end:
                 raise DomainError("windows must be ordered and non-overlapping")
             previous_end = window.end
+        if len({window.regime for window in self.windows}) != len(self.windows):
+            raise DomainError("schedule has two windows for one regime")
 
     def window_for(self, regime: Regime) -> Window:
         for window in self.windows:
@@ -212,6 +214,18 @@ def draw_time(window: Window, rng: SplitMix64) -> Fraction:
     return window.start + offset * (window.end - window.start)
 
 
+def window_times(schedule: Schedule, regime: Regime, seed: int, count: int) -> Iterator[Fraction]:
+    """The regime's first ``count`` seeded measurement times, in trial order.
+
+    The in-process run and the networked coordinator both draw from here,
+    which is what makes a networked session equal the in-process one.
+    """
+    window = schedule.window_for(regime)
+    rng = SplitMix64(derive_seed(seed, f"ghz:{Regime(regime).value}"))
+    for _ in range(count):
+        yield draw_time(window, rng)
+
+
 def run_window(
     schedule: Schedule,
     regime: Regime,
@@ -226,14 +240,11 @@ def run_window(
     regime = Regime(regime)
     if assignment is None:
         assignment = default_assignment()
-    window = schedule.window_for(regime)
-    rng = SplitMix64(derive_seed(seed, f"ghz:{regime.value}"))
     # drawn times are interior by construction, so the per-trial window check
     # in node_output is skipped here
     responses = tuple(assignment.response(node, regime) for node in NODES)
     trials = []
-    for _ in range(samples):
-        t = draw_time(window, rng)
+    for t in window_times(schedule, regime, seed, samples):
         outputs = tuple(response(t) for response in responses)
         trials.append(TrialTriple(regime, t, outputs))
     return trials
@@ -259,40 +270,3 @@ def marginal_balance(trials: Sequence[TrialTriple], node: int) -> float:
         raise DomainError(f"node must be 1, 2 or 3, got {node}")
     plus = sum(1 for trial in trials if trial.outputs[node - 1] == 1)
     return plus / len(trials)
-
-
-@dataclass(frozen=True)
-class CounterfactualReport:
-    """Same time, different regime: the 'same' observable need not repeat.
-
-    Station 3's yxy and xyy responses are sign-opposite functions, so their
-    product at any common time is -1; station 1's yyx and yxy responses are
-    the identical function, so its product is +1.
-    """
-
-    t: Fraction
-    y3_yxy: int
-    y3_xyy: int
-    y3_product: int
-    y1_yyx: int
-    y1_yxy: int
-    y1_product: int
-
-
-def counterfactual_probe(assignment: NodeAssignment, t: Fraction) -> CounterfactualReport:
-    t = Fraction(t)
-    if t <= 0:
-        raise DomainError("t must be positive")
-    y3_yxy = assignment.response(3, Regime.YXY)(t)
-    y3_xyy = assignment.response(3, Regime.XYY)(t)
-    y1_yyx = assignment.response(1, Regime.YYX)(t)
-    y1_yxy = assignment.response(1, Regime.YXY)(t)
-    return CounterfactualReport(
-        t=t,
-        y3_yxy=y3_yxy,
-        y3_xyy=y3_xyy,
-        y3_product=y3_yxy * y3_xyy,
-        y1_yyx=y1_yyx,
-        y1_yxy=y1_yxy,
-        y1_product=y1_yyx * y1_yxy,
-    )

@@ -42,12 +42,12 @@ from .ghz import (
     TrialTriple,
     Window,
     default_assignment,
-    draw_time,
     node_output,
+    window_times,
 )
-from .rng import SplitMix64, derive_seed
 
-KINDS = ("HELLO", "SCHEDULE", "MEASURE", "RESULT", "ERROR", "DONE")
+#: Every message kind with its number of payload fields.
+KINDS = {"HELLO": 1, "SCHEDULE": 1, "MEASURE": 3, "RESULT": 3, "ERROR": 3, "DONE": 0}
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class WireMessage:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ProtocolError(f"unknown message kind {self.kind!r}")
+        if len(self.fields) != KINDS[self.kind]:
+            raise ProtocolError(f"{self.kind} needs {KINDS[self.kind]} fields, got {self.fields}")
         for part in self.fields:
             if any(c.isspace() for c in part):
                 raise ProtocolError(f"field {part!r} contains whitespace")
@@ -103,7 +105,10 @@ def fraction_to_wire(value: Fraction) -> str:
 
 def fraction_from_wire(text: str) -> Fraction:
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or "1"))
+    try:
+        return Fraction(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise ProtocolError(f"bad wire fraction {text!r}") from None
 
 
 def schedule_to_wire(schedule: Schedule) -> str:
@@ -115,12 +120,15 @@ def schedule_to_wire(schedule: Schedule) -> str:
 
 def schedule_from_wire(text: str) -> Schedule:
     windows = []
-    for chunk in text.split(";"):
-        regime, start, end = chunk.split(":")
-        windows.append(
-            Window(Regime(regime), fraction_from_wire(start), fraction_from_wire(end))
-        )
-    return Schedule(tuple(windows))
+    try:
+        for chunk in text.split(";"):
+            regime, start, end = chunk.split(":")
+            windows.append(
+                Window(Regime(regime), fraction_from_wire(start), fraction_from_wire(end))
+            )
+        return Schedule(tuple(windows))
+    except ValueError as exc:  # a wrong field count, regime or window (DomainError)
+        raise ProtocolError(f"bad schedule {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -235,10 +243,7 @@ def coordinator_run(
 
         trial_id = 0
         for regime in REGIME_ORDER:
-            window = schedule.window_for(regime)
-            rng = SplitMix64(derive_seed(seed, f"ghz:{regime.value}"))
-            for _ in range(trials_per_regime):
-                t = draw_time(window, rng)
+            for t in window_times(schedule, regime, seed, trials_per_regime):
                 measure = WireMessage(
                     "MEASURE", (str(trial_id), regime.value, fraction_to_wire(t))
                 )
@@ -265,8 +270,8 @@ def coordinator_run(
                     transcript.log(f"node{node}>coord", reply)
                     if (
                         reply.kind == "RESULT"
-                        and reply.fields[0] == str(trial_id)
-                        and reply.fields[1] == str(node)
+                        and reply.fields[:2] == (str(trial_id), str(node))
+                        and reply.fields[2] in ("+1", "-1")
                     ):
                         outputs[node] = int(reply.fields[2])
                     else:
@@ -291,7 +296,7 @@ def coordinator_run(
 
 def node_serve(
     node_id: int,
-    assignment: NodeAssignment | None,
+    assignment: NodeAssignment,
     listen: tuple[str, int],
     announce=None,
 ) -> None:
@@ -302,8 +307,6 @@ def node_serve(
     """
     if node_id not in NODES:
         raise ProtocolError(f"node id must be 1, 2 or 3, got {node_id}")
-    if assignment is None:
-        assignment = default_assignment()
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind(listen)

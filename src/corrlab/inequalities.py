@@ -1,11 +1,11 @@
 """Pairwise-correlation inequalities for three and four ±1 variables.
 
-Two families are implemented for the three-variable case, selected by the
-``form`` argument:
+Two families are implemented for the three-variable case, each in its
+three cyclic variants:
 
-* ``"difference"`` — |s1 - s2| <= 1 - s3, the form used throughout the
+* ``difference`` — |s1 - s2| <= 1 - s3, the form used throughout the
   source material for this project's triangle systems;
-* ``"sum"``        — |s1 + s2| <= 1 + s3, the mirror obtained by flipping
+* ``sum``        — |s1 + s2| <= 1 + s3, the mirror obtained by flipping
   the sign of one variable.
 
 The three cyclic difference variants alone do not characterize
@@ -19,6 +19,7 @@ All comparisons are exact rational arithmetic; no floats in any verdict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,7 +32,8 @@ from .errors import DomainError
 _CYCLIC = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 _PAIR_NAMES = ("ab", "ac", "bc")
 
-BELL_FORMS = ("difference", "sum")
+#: The two three-variable families: (name, sign character, combine).
+_FAMILIES = (("difference", "-", operator.sub), ("sum", "+", operator.add))
 
 
 def _check_covariance(value) -> Fraction:
@@ -82,35 +84,17 @@ class InequalityVerdict:
     satisfied: bool
 
 
-def bell_check(triple: BellTriple, variant: int = 0, form: str = "difference") -> InequalityVerdict:
-    """Evaluate one cyclic variant of the three-variable inequality.
-
-    ``variant`` selects which covariance provides the bound side: 0 bounds
-    with s_bc (the primary form), 1 with s_ac, 2 with s_ab.
-    """
-    if variant not in (0, 1, 2):
-        raise DomainError(f"variant must be 0, 1 or 2, got {variant}")
-    if form not in BELL_FORMS:
-        raise DomainError(f"unknown form {form!r}")
+def bell_check_all(triple: BellTriple) -> list[InequalityVerdict]:
+    """Both families' cyclic variants, e.g. ``difference:ab-ac|bc`` is |s_ab - s_ac| <= 1 - s_bc."""
     sigmas = triple.as_tuple()
-    i, j, k = _CYCLIC[variant]
-    if form == "difference":
-        lhs = sigmas[i] - sigmas[j]
-        bound = 1 - sigmas[k]
-    else:
-        lhs = sigmas[i] + sigmas[j]
-        bound = 1 + sigmas[k]
-    name = f"{form}:{_PAIR_NAMES[i]}{'-' if form == 'difference' else '+'}{_PAIR_NAMES[j]}|{_PAIR_NAMES[k]}"
-    return InequalityVerdict(name, lhs, bound, abs(lhs) <= bound)
-
-
-def bell_check_all(
-    triple: BellTriple, forms: Sequence[str] = BELL_FORMS
-) -> list[InequalityVerdict]:
-    """All cyclic variants of the requested forms; default is the complete family."""
-    return [
-        bell_check(triple, variant, form) for form in forms for variant in (0, 1, 2)
-    ]
+    verdicts = []
+    for form, sign, combine in _FAMILIES:
+        for i, j, k in _CYCLIC:
+            lhs = combine(sigmas[i], sigmas[j])
+            bound = combine(1, sigmas[k])
+            name = f"{form}:{_PAIR_NAMES[i]}{sign}{_PAIR_NAMES[j]}|{_PAIR_NAMES[k]}"
+            verdicts.append(InequalityVerdict(name, lhs, bound, abs(lhs) <= bound))
+    return verdicts
 
 
 def chsh_value(quad: ChshQuad) -> Fraction:

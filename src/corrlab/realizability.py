@@ -96,13 +96,9 @@ class ConstraintSystem:
     rhs: tuple[Fraction, ...]
 
 
-def build_constraint_system(
-    system: MarginalSystem, arity_cap: int = DEFAULT_ARITY_CAP
-) -> ConstraintSystem:
-    if system.arity > arity_cap:
-        raise CapacityError(
-            f"arity {system.arity} exceeds cap {arity_cap}; raise the cap explicitly"
-        )
+def build_constraint_system(system: MarginalSystem) -> ConstraintSystem:
+    if system.arity > DEFAULT_ARITY_CAP:
+        raise CapacityError(f"arity {system.arity} exceeds cap {DEFAULT_ARITY_CAP}")
     atoms = tuple(sign_vectors(system.arity))
     cells: list[tuple[int, SignVector]] = []
     matrix: list[tuple[int, ...]] = []
@@ -142,11 +138,9 @@ class FeasibilityResult:
         return "FEASIBLE" if self.feasible else "INFEASIBLE"
 
 
-def check_realizability(
-    system: MarginalSystem, arity_cap: int = DEFAULT_ARITY_CAP
-) -> FeasibilityResult:
+def check_realizability(system: MarginalSystem) -> FeasibilityResult:
     """Exact decision with witness or certificate; deterministic."""
-    encoded = build_constraint_system(system, arity_cap)
+    encoded = build_constraint_system(system)
     norm_row = len(encoded.matrix) - 1
     outcome = min_l1_deviation(encoded.matrix, encoded.rhs, exact_rows={norm_row})
     if outcome.optimum == 0:

@@ -8,16 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from corrlab.realizability import (
-    DEFAULT_ARITY_CAP,
-    MarginalSystem,
-    build_constraint_system,
-)
+from corrlab.realizability import MarginalSystem, build_constraint_system
 
 
-def realizability_oracle(
-    system: MarginalSystem, arity_cap: int = DEFAULT_ARITY_CAP
-) -> bool:
+def realizability_oracle(system: MarginalSystem) -> bool:
     """Independent feasibility decision by exact vertex enumeration.
 
     A nonempty polytope {x >= 0 : Mx = b} (bounded by the normalization row)
@@ -28,7 +22,7 @@ def realizability_oracle(
     """
     from itertools import combinations
 
-    encoded = build_constraint_system(system, arity_cap)
+    encoded = build_constraint_system(system)
     matrix = [list(map(Fraction, row)) for row in encoded.matrix]
     rhs = list(encoded.rhs)
     ncols = len(encoded.atoms)

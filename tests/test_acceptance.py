@@ -31,7 +31,7 @@ from corrlab.ghz import (
     EXPECTED_PRODUCT,
     NODES,
     REGIME_ORDER,
-    counterfactual_probe,
+    Regime,
     default_assignment,
     default_schedule,
     marginal_balance,
@@ -184,8 +184,8 @@ def test_criterion_8_counterfactual_product_is_minus_one(announce):
         rng = SplitMix64(8)
         for _ in range(1000):
             t = Fraction(1 + rng.below((1 << 32) - 1), 1 << 32) + rng.below(10)
-            report = counterfactual_probe(assignment, t)
-            assert report.y3_product == -1, t
+            product = assignment.response(3, Regime.YXY)(t) * assignment.response(3, Regime.XYY)(t)
+            assert product == -1, t
 
 
 def test_criterion_9_networked_session_matches_in_process(announce, tmp_path):

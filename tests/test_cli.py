@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,27 @@ from corrlab.cli import (
     run,
 )
 from corrlab.errors import DomainError
+from corrlab.ghz import REGIME_ORDER, Schedule, Window
+from corrlab.ghznet import schedule_to_wire
 
 
 words = st.from_regex(r"[a-z0-9][a-z0-9:./-]*", fullmatch=True)
+endpoints = st.builds(
+    "{}:{}".format, st.from_regex(r"[a-z0-9.-]*", fullmatch=True), st.integers(0, 65535)
+)
+
+
+@st.composite
+def schedules(draw):
+    """Wire text of a valid schedule: ordered windows, one regime each."""
+    regimes = draw(st.permutations(REGIME_ORDER))[: draw(st.integers(1, 4))]
+    bounds = sorted(draw(st.sets(
+        st.fractions(min_value=Fraction(1, 1000), max_value=100, max_denominator=1000),
+        min_size=2 * len(regimes), max_size=2 * len(regimes),
+    )))
+    windows = zip(regimes, bounds[0::2], bounds[1::2])
+    return schedule_to_wire(Schedule(tuple(Window(*w) for w in windows)))
+
 
 #: A value strategy for every config key except ``mode``.
 CONFIG_VALUES = {
@@ -34,10 +55,10 @@ CONFIG_VALUES = {
     "precision": st.fractions(min_value=Fraction(1, 10**12), max_value=1),
     "lambdas": st.integers(1, 64),
     "rademacher": st.lists(st.integers(1, 64), min_size=3, max_size=3, unique=True).map(tuple),
-    "schedule": words,
+    "schedule": schedules(),
     "role": words,
-    "listen": words,
-    "nodes": st.lists(words, min_size=1, max_size=3),
+    "listen": endpoints,
+    "nodes": st.lists(endpoints, min_size=1, max_size=3),
 }
 
 
@@ -227,6 +248,35 @@ class TestMainExitCodes:
             argv = ["--config", str(path)]
         assert main(argv) == EXIT_DOMAIN
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text, argv", [
+        ("mode = ghz\nseed = 1\nschedule = garbage\n", []),
+        ("mode = ghz\nseed = 1\nschedule = yyx:1/0:2\n", []),
+        ("mode = ghz-net-coordinator\nseed = 1\n"
+         "nodes = 127.0.0.1:x, 127.0.0.1:1, 127.0.0.1:1\n", []),
+        (None, ["--preset", "ghz-table5", "--nodes", "127.0.0.1:x,127.0.0.1:1,127.0.0.1:1"]),
+    ])
+    def test_bad_schedule_or_nodes_exit_domain(self, tmp_path, capsys, config_text, argv):
+        if config_text is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config_text)
+            argv = ["--config", str(path)]
+        assert main(argv) == EXIT_DOMAIN
+        assert "config error:" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_ok(self):
+        # The reader is gone before the report is written, as with `| head -1`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "corrlab", "--preset", "chsh-qm"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
 
     def test_seed_override(self, tmp_path, capsys):
         path = tmp_path / "ghz.cfg"

@@ -13,7 +13,6 @@ from corrlab.ghz import (
     Response,
     Schedule,
     Window,
-    counterfactual_probe,
     default_assignment,
     default_schedule,
     draw_time,
@@ -100,6 +99,15 @@ class TestSchedule:
         # switching gap
         assert not any(w.contains(Fraction(17, 8)) for w in schedule.windows)
 
+    def test_second_window_for_a_regime_rejected(self):
+        with pytest.raises(DomainError, match="two windows"):
+            Schedule(
+                (
+                    Window(Regime.YYX, Fraction(1), Fraction(2)),
+                    Window(Regime.YYX, Fraction(3), Fraction(4)),
+                )
+            )
+
     def test_overlap_rejected(self):
         with pytest.raises(DomainError):
             Schedule(
@@ -151,18 +159,22 @@ class TestRunWindow:
 
 
 class TestCounterfactual:
+    """Same time, different regime: the 'same' observable need not repeat."""
+
     def test_fixed_relations_at_random_times(self):
+        # Station 3's yxy and xyy responses are sign-opposite functions;
+        # station 1's yyx and yxy responses are the identical function.
         assignment = default_assignment()
         rng = SplitMix64(31)
         for _ in range(200):
             t = Fraction(1 + rng.below((1 << 20) - 1), 1 << 20)
-            report = counterfactual_probe(assignment, t)
-            assert report.y3_product == -1
-            assert report.y1_product == 1
+            y3 = assignment.response(3, Regime.YXY)(t) * assignment.response(3, Regime.XYY)(t)
+            y1 = assignment.response(1, Regime.YYX)(t) * assignment.response(1, Regime.YXY)(t)
+            assert (y3, y1) == (-1, 1)
 
     def test_invalid_time(self):
         with pytest.raises(DomainError):
-            counterfactual_probe(default_assignment(), Fraction(-1))
+            default_assignment().response(3, Regime.YXY)(Fraction(-1))
 
 
 def test_locality_outputs_depend_only_on_node_regime_time():

@@ -1,4 +1,8 @@
 import io
+import re
+import socket
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ from corrlab.errors import ProtocolError
 from corrlab.ghz import (
     EXPECTED_PRODUCT,
     REGIME_ORDER,
+    default_assignment,
     default_schedule,
     run_all_regimes,
 )
@@ -42,7 +47,7 @@ def start_nodes(count=3):
 
         thread = threading.Thread(
             target=node_serve,
-            args=(node, None, ("127.0.0.1", 0)),
+            args=(node, default_assignment(), ("127.0.0.1", 0)),
             kwargs={"announce": announce},
             daemon=True,
         )
@@ -72,18 +77,56 @@ class TestWireFormat:
             WireMessage("PING")
         with pytest.raises(ProtocolError):
             WireMessage("HELLO", ("has space",))
+        with pytest.raises(ProtocolError, match="needs 3 fields"):
+            decode_payload("RESULT")
+        with pytest.raises(ProtocolError, match="needs 0 fields"):
+            decode_payload("DONE now")
 
     def test_fraction_codec(self):
         for value in (Fraction(5, 4), Fraction(-3, 7), Fraction(2)):
             assert fraction_from_wire(fraction_to_wire(value)) == value
+        for bad in ("1/0", "x", "1/y", ""):
+            with pytest.raises(ProtocolError):
+                fraction_from_wire(bad)
 
     def test_schedule_codec(self):
         schedule = default_schedule()
         assert schedule_from_wire(schedule_to_wire(schedule)) == schedule
+        for bad in ("garbage", "yyx:1/0:2", "zzz:1:2", "yyx:2:1", "yyx:1:2;yyx:3:4"):
+            with pytest.raises(ProtocolError):
+                schedule_from_wire(bad)
 
     def test_payload_round_trip(self):
         message = WireMessage("RESULT", ("3", "2", "-1"))
         assert decode_payload(message.payload()) == message
+
+
+def raw_frame(payload: str) -> bytes:
+    return b"%d %s\n" % (len(payload), payload.encode("ascii"))
+
+
+@pytest.mark.parametrize("payload", ["RESULT", "MEASURE 0 yyx 1/0", "MEASURE 0 yyx", "SCHEDULE"])
+def test_malformed_frame_ends_node_with_exit_4(tmp_path, payload):
+    config = tmp_path / "node.cfg"
+    config.write_text("mode = ghz-net-node\nrole = node1\nlisten = 127.0.0.1:0\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corrlab", "--config", str(config)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        host, port = re.match(r"listening (\S+):(\d+)", proc.stdout.readline()).groups()
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            schedule = "SCHEDULE " + schedule_to_wire(default_schedule())
+            conn.sendall(raw_frame("HELLO 1") + raw_frame(schedule) + raw_frame(payload))
+            _out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 4
+    assert "network error:" in err and "Traceback" not in err
 
 
 class TestSession:

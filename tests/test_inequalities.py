@@ -11,7 +11,6 @@ from corrlab.inequalities import (
     BellTriple,
     ChshQuad,
     all_satisfied,
-    bell_check,
     bell_check_all,
     chsh_check_all,
     chsh_value,
@@ -30,7 +29,8 @@ covariance_grid = st.integers(-8, 8).map(lambda k: Fraction(k, 8))
 class TestBellCheck:
     def test_primary_variant_on_qm_covariances(self):
         triple = BellTriple(SQRT_HALF, SQRT_HALF, Fraction(0))
-        verdict = bell_check(triple, variant=0)
+        verdict = bell_check_all(triple)[0]
+        assert verdict.variant == "difference:ab-ac|bc"
         assert verdict.lhs == 0
         assert verdict.bound == 1
         assert verdict.satisfied
@@ -38,8 +38,7 @@ class TestBellCheck:
     def test_cyclic_variants_catch_qm_covariances(self):
         # The two rotated variants both fail: |r - 0| > 1 - r for r ~ 0.707.
         triple = BellTriple(SQRT_HALF, SQRT_HALF, Fraction(0))
-        for variant in (1, 2):
-            verdict = bell_check(triple, variant)
+        for verdict in bell_check_all(triple)[1:3]:
             assert verdict.lhs == SQRT_HALF
             assert verdict.bound == 1 - SQRT_HALF
             assert not verdict.satisfied
@@ -54,8 +53,9 @@ class TestBellCheck:
         # (-1, -1, -1) passes every difference variant but is unrealizable;
         # the sum variants flag it.
         triple = BellTriple(Fraction(-1), Fraction(-1), Fraction(-1))
-        assert all_satisfied(bell_check_all(triple, forms=("difference",)))
-        assert not all_satisfied(bell_check_all(triple, forms=("sum",)))
+        verdicts = bell_check_all(triple)
+        assert all_satisfied([v for v in verdicts if v.variant.startswith("difference:")])
+        assert not all_satisfied([v for v in verdicts if v.variant.startswith("sum:")])
         assert not check_realizability(triangle_system(list(triple.as_tuple()))).feasible
 
     def test_variant_names_are_stable(self):
@@ -71,13 +71,10 @@ class TestBellCheck:
         ]
 
     def test_bad_arguments(self):
-        triple = BellTriple(Fraction(0), Fraction(0), Fraction(0))
-        with pytest.raises(DomainError):
-            bell_check(triple, variant=3)
-        with pytest.raises(DomainError):
-            bell_check(triple, form="product")
         with pytest.raises(DomainError):
             BellTriple(Fraction(2), Fraction(0), Fraction(0))
+        with pytest.raises(DomainError):
+            BellTriple(0.5, Fraction(0), Fraction(0))
 
 
 class TestChsh:
