@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dist import pair_table_from_covariance, qm_covariance
+from .dist import JointTable, pair_table_from_covariance, qm_covariance
 from .errors import DomainError, InsufficientDataError
 from .rng import SplitMix64, derive_seed
 
@@ -39,32 +39,17 @@ _OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Row-stochastic 4x4 table: one outcome distribution per setting row."""
+    """Row-stochastic 4x4 table: each setting row's outcome masses become a pair JointTable."""
 
     rows: Mapping[str, Mapping[tuple[int, int], Fraction]]
 
     def __post_init__(self):
-        cleaned = {}
+        tables = {}
         for label in ROW_LABELS:
             if label not in self.rows:
                 raise DomainError(f"missing row {label!r}")
-            row = {}
-            total = Fraction(0)
-            for outcome in _OUTCOMES:
-                mass = Fraction(self.rows[label].get(outcome, 0))
-                if mass < 0:
-                    raise DomainError(f"negative probability in row {label}")
-                row[outcome] = mass
-                total += mass
-            if total != 1:
-                raise DomainError(f"row {label} sums to {total}, expected 1")
-            cleaned[label] = row
-        object.__setattr__(self, "rows", cleaned)
-
-    def row_covariance(self, label: str) -> Fraction:
-        return sum(
-            (mass * (a * b) for (a, b), mass in self.rows[label].items()), Fraction(0)
-        )
+            tables[label] = JointTable(2, self.rows[label])
+        object.__setattr__(self, "rows", tables)
 
 
 #: Trial counts per setting row and outcome pair: row label -> outcome -> n.
@@ -132,7 +117,7 @@ def sample_delayed_choice(matrix: StochasticMatrix, trials: int, seed: int) -> C
     row_rng = SplitMix64(derive_seed(seed, "aspect:rows:0"))
     out_rng = SplitMix64(derive_seed(seed, "aspect:outcomes:0"))
     thresholds = [
-        _cumulative(matrix.rows[label][outcome] for outcome in _OUTCOMES)
+        _cumulative(matrix.rows[label].mass(outcome) for outcome in _OUTCOMES)
         for label in ROW_LABELS
     ]
     counts = [[0] * len(_OUTCOMES) for _ in ROW_LABELS]

@@ -37,7 +37,15 @@ from .aspect import (
     sample_delayed_choice,
     simulate_source_model,
 )
-from .dist import DEFAULT_PRECISION, qm_covariance, rationalize
+from .dist import (
+    DEFAULT_PRECISION,
+    covariance,
+    covariance_of,
+    parse_rational,
+    qm_covariance,
+    rational_text,
+    rationalize,
+)
 from .errors import CapacityError, DomainError, ProtocolError
 from .ghz import (
     EXPECTED_PRODUCT,
@@ -99,17 +107,6 @@ class ExperimentConfig:
     nodes: list[str] | None = None
 
 
-def _frac_text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
-def _parse_rational(text: str) -> Fraction:
-    num, _, den = text.strip().partition("/")
-    if den and int(den) == 0:
-        raise ValueError(f"zero denominator in {text.strip()!r}")
-    return Fraction(int(num), int(den or 1))
-
-
 def _parse_angle(text: str) -> float:
     text = text.strip()
     for suffix, factor in (("deg", math.pi / 180), ("rad", 1.0)):
@@ -124,14 +121,6 @@ def _parse_mode(text: str) -> str:
     return text
 
 
-def _parse_sigmas(text: str) -> list[Fraction]:
-    sigmas = [_parse_rational(part) for part in text.split(",")]
-    for sigma in sigmas:
-        if abs(sigma) > 1:
-            raise ValueError(f"{sigma} outside [-1, 1]")
-    return sigmas
-
-
 def positive_int(text: str) -> int:
     """An integer >= 1, such as a trial count."""
     value = int(text)
@@ -141,7 +130,7 @@ def positive_int(text: str) -> int:
 
 
 def _parse_precision(text: str) -> Fraction:
-    value = _parse_rational(text)
+    value = parse_rational(text)
     if value <= 0:
         raise ValueError("precision must be positive")
     return value
@@ -188,14 +177,15 @@ def _join(render):
 #: and raises ValueError on bad input; ``render`` writes the value back.
 KEYS = {
     "mode": (_parse_mode, str),
-    "sigmas": (_parse_sigmas, _join(_frac_text)),
+    "sigmas": (lambda text: [covariance(parse_rational(part.strip())) for part in text.split(",")],
+               _join(rational_text)),
     "angles": (lambda text: [_parse_angle(part) for part in text.split(",")],
                _join(lambda angle: f"{angle!r} rad")),
     "matrix": (str, str),
     "trials": (positive_int, str),
     "seed": (int, str),
     "lambdas": (positive_int, str),
-    "precision": (_parse_precision, _frac_text),
+    "precision": (_parse_precision, rational_text),
     "rademacher": (_parse_rademacher, _join(str)),
     "schedule": (_parse_schedule, str),
     "nodes": (endpoint_list, _join(str)),
@@ -302,34 +292,50 @@ def _provenance(config: ExperimentConfig) -> list[tuple[str, str]]:
     return pairs
 
 
-def _sigmas_for(config: ExperimentConfig, count: int) -> list[Fraction]:
+def _sigmas_for(config: ExperimentConfig, counts: tuple[int, ...]) -> list[Fraction]:
+    """The covariances from ``sigmas`` or ``angles``; their number must be in ``counts``."""
     if config.sigmas is not None:
-        if len(config.sigmas) != count:
-            raise DomainError(f"mode {config.mode!r} needs {count} covariances")
-        return config.sigmas
-    if config.angles is not None:
-        if len(config.angles) != count:
-            raise DomainError(f"mode {config.mode!r} needs {count} angles")
-        return [qm_covariance(a, config.precision) for a in config.angles]
-    raise DomainError(f"mode {config.mode!r} needs 'sigmas' or 'angles'")
+        sigmas = config.sigmas
+    elif config.angles is not None:
+        sigmas = [qm_covariance(a, config.precision) for a in config.angles]
+    else:
+        raise DomainError(f"mode {config.mode!r} needs 'sigmas' or 'angles'")
+    if len(sigmas) not in counts:
+        wanted = " or ".join(map(str, counts))
+        raise DomainError(f"mode {config.mode!r} needs {wanted} covariances (or angles)")
+    return sigmas
+
+
+def _verdict_lines(family: str, verdicts, results: list[tuple[str, str]]) -> None:
+    for v in verdicts:
+        results.append(
+            (f"{family}[{v.variant}]",
+             f"|{rational_text(v.lhs)}| <= {rational_text(v.bound)} : "
+             + ("satisfied" if v.satisfied else "VIOLATED"))
+        )
+
+
+def _product_line(regime: str, counts) -> tuple[str, str]:
+    """The ``product[regime]`` line: how often each three-fold output product occurred."""
+    return f"product[{regime}]", ", ".join(f"{p:+d}:{n}" for p, n in sorted(counts.items()))
 
 
 def _realizability_lines(system, results: list[tuple[str, str]]):
     outcome = check_realizability(system)
     results.append(("verdict", outcome.verdict))
-    results.append(("margin", _frac_text(outcome.margin)))
+    results.append(("margin", rational_text(outcome.margin)))
     results.append(("margin_float", f"{float(outcome.margin):.9f}"))
     if outcome.feasible:
         atoms = sorted(outcome.witness.atoms.items())
         results.append(
             ("witness", "; ".join(
-                f"{''.join('+' if v > 0 else '-' for v in atom)}:{_frac_text(mass)}"
+                f"{''.join('+' if v > 0 else '-' for v in atom)}:{rational_text(mass)}"
                 for atom, mass in atoms
             ))
         )
     else:
         results.append(
-            ("certificate", "; ".join(_frac_text(y) for y in outcome.certificate))
+            ("certificate", "; ".join(rational_text(y) for y in outcome.certificate))
         )
         results.append(
             ("certificate_note", "margin is the implementation-defined minimal L1 cell violation")
@@ -346,25 +352,16 @@ def run(config: ExperimentConfig, out_path: str | None = None) -> Report:
 
 
 def _run_check(config, report, out_path):
-    sigmas = config.sigmas
-    if sigmas is None and config.angles is not None:
-        sigmas = [qm_covariance(a, config.precision) for a in config.angles]
-    if sigmas is None or len(sigmas) not in (3, 4):
-        raise DomainError("check mode needs 3 or 4 covariances (or angles)")
+    sigmas = _sigmas_for(config, (3, 4))
     system = triangle_system(sigmas) if len(sigmas) == 3 else four_cycle_system(sigmas)
     outcome = _realizability_lines(system, report.results)
     report.summary = f"{outcome.verdict} (margin {float(outcome.margin):.6f})"
 
 
 def _run_bell(config, report, out_path):
-    triple = BellTriple(*_sigmas_for(config, 3))
+    triple = BellTriple(*_sigmas_for(config, (3,)))
     verdicts = bell_check_all(triple)
-    for v in verdicts:
-        report.results.append(
-            (f"bell[{v.variant}]",
-             f"|{_frac_text(v.lhs)}| <= {_frac_text(v.bound)} : "
-             + ("satisfied" if v.satisfied else "VIOLATED"))
-        )
+    _verdict_lines("bell", verdicts, report.results)
     report.results.append(
         ("all_variants_satisfied", str(all(v.satisfied for v in verdicts)).lower())
     )
@@ -376,15 +373,11 @@ def _run_bell(config, report, out_path):
 
 
 def _run_chsh(config, report, out_path):
-    quad = ChshQuad(*_sigmas_for(config, 4))
+    quad = ChshQuad(*_sigmas_for(config, (4,)))
     value = chsh_value(quad)
-    report.results.append(("chsh_value", _frac_text(value)))
+    report.results.append(("chsh_value", rational_text(value)))
     report.results.append(("chsh_value_float", f"{float(value):.9f}"))
-    for v in chsh_check_all(quad):
-        report.results.append(
-            (f"chsh[{v.variant}]",
-             f"|{_frac_text(v.lhs)}| <= 2 : " + ("satisfied" if v.satisfied else "VIOLATED"))
-        )
+    _verdict_lines("chsh", chsh_check_all(quad), report.results)
     outcome = _realizability_lines(four_cycle_system(list(quad.as_tuple())), report.results)
     report.summary = f"chsh value {float(value):.4f}; realizability {outcome.verdict}"
 
@@ -397,7 +390,7 @@ def _aspect_matrix(config):
     if config.angles is not None:
         return qm_matrix(config.angles)
     if config.sigmas is not None:
-        return matrix_from_covariances(_sigmas_for(config, 4))
+        return matrix_from_covariances(_sigmas_for(config, (4,)))
     raise DomainError("aspect mode needs 'angles', 'sigmas' or matrix = gamma-max")
 
 
@@ -407,8 +400,8 @@ def _run_aspect(config, report, out_path):
     records = sample_delayed_choice(matrix, trials, config.seed)
     estimate = estimate_gamma(records)
     population = sum(
-        (matrix.row_covariance(label) for label in ROW_LABELS[:3]), Fraction(0)
-    ) - matrix.row_covariance("dc")
+        (covariance_of(matrix.rows[label], 0, 1) for label in ROW_LABELS[:3]), Fraction(0)
+    ) - covariance_of(matrix.rows["dc"], 0, 1)
     for label in ROW_LABELS:
         report.results.append(
             (f"row[{label}]",
@@ -458,14 +451,10 @@ def _run_ghz(config, report, out_path):
     by_regime = run_all_regimes(schedule, trials, config.seed, assignment)
     products_exact = True
     for regime in REGIME_ORDER:
-        trials_list = by_regime[regime]
         counts = {}
-        for trial in trials_list:
+        for trial in by_regime[regime]:
             counts[trial.product] = counts.get(trial.product, 0) + 1
-        report.results.append(
-            (f"product[{regime.value}]",
-             ", ".join(f"{p:+d}:{n}" for p, n in sorted(counts.items())))
-        )
+        report.results.append(_product_line(regime.value, counts))
         if set(counts) != {EXPECTED_PRODUCT[regime]}:
             products_exact = False
     report.results.append(("products_exact", str(products_exact).lower()))
@@ -500,9 +489,7 @@ def _run_coordinator(config, report, out_path):
         ("forwarding_violations", str(len(verification.forwarding_violations)))
     )
     for regime, counts in sorted(verification.product_counts.items()):
-        report.results.append(
-            (f"product[{regime}]", ", ".join(f"{p:+d}:{n}" for p, n in sorted(counts.items())))
-        )
+        report.results.append(_product_line(regime, counts))
     report.summary = (
         f"{len(transcript.trials)} trials, replay ok: {verification.ok}"
     )

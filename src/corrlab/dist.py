@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 
-Rational = Fraction
 SignVector = tuple[int, ...]
 
 #: Default bound on the error introduced when rationalizing an irrational.
 DEFAULT_PRECISION = Fraction(1, 10**9)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _as_rational(value) -> Fraction:
@@ -36,6 +35,31 @@ def _as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise DomainError(f"expected an exact rational, got {value!r}")
+
+
+#: The one text form of an exact rational: ASCII ``n`` or ``n/d`` with d > 0.
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def rational_text(value: Fraction) -> str:
+    """``value`` as ``n`` or ``n/d``; :func:`parse_rational` reads it back."""
+    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written ``n`` or ``n/d`` in ASCII digits; DomainError otherwise."""
+    if not _RATIONAL.fullmatch(text):
+        raise DomainError(f"{text!r} is not a rational n or n/d with d > 0")
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+def covariance(value) -> Fraction:
+    """``value`` as an exact covariance: a Fraction or int within [-1, 1]."""
+    sigma = _as_rational(value)
+    if abs(sigma) > 1:
+        raise DomainError(f"covariance {sigma} outside [-1, 1]")
+    return sigma
 
 
 def rationalize(value: float, max_error: Fraction = DEFAULT_PRECISION) -> Fraction:
@@ -113,9 +137,7 @@ def pair_table_from_covariance(sigma) -> JointTable:
 
     Diagonal cells get (1+sigma)/4, off-diagonal cells (1-sigma)/4.
     """
-    sigma = _as_rational(sigma)
-    if abs(sigma) > 1:
-        raise DomainError(f"covariance {sigma} outside [-1, 1]")
+    sigma = covariance(sigma)
     same = (1 + sigma) / 4
     diff = (1 - sigma) / 4
     return JointTable(2, {(1, 1): same, (1, -1): diff, (-1, 1): diff, (-1, -1): same})
@@ -156,10 +178,6 @@ def qm_covariance(angle_radians: float, max_error: Fraction = DEFAULT_PRECISION)
     """
     if not math.isfinite(angle_radians):
         raise DomainError("angle must be finite")
-    sigma = rationalize(-math.cos(angle_radians), max_error)
-    # Rounding of the cosine may overshoot the closed interval by < max_error.
-    if sigma > 1:
-        sigma = ONE
-    elif sigma < -1:
-        sigma = -ONE
-    return sigma
+    # No clamp is needed: -cos lies in [-1, 1], and so does its best rational
+    # approximation, since -1 and 1 are themselves candidates.
+    return rationalize(-math.cos(angle_radians), max_error)

@@ -8,13 +8,13 @@ of randomness and derives times exactly as the in-process simulator does,
 which makes a networked session bit-identical to :func:`corrlab.ghz.run_window`
 for the same seed and schedule.
 
-Wire format: length-prefixed, line-delimited ASCII records.  A frame is the
-decimal byte length of the payload, one space, the payload, one newline.
-Payload fields are space-separated with a fixed order per message kind;
-times travel as exact "numerator/denominator" pairs.
+Wire format: length-prefixed, line-delimited ASCII records of at most
+:data:`MAX_FRAME` bytes.  A frame is the decimal byte length of the payload,
+one space, the payload, one newline.  Payload fields are space-separated with
+a fixed order per message kind; times are exact rationals ``n`` or ``n/d``.
 
     HELLO <node_id>
-    SCHEDULE <regime>:<start>:<end>;...      (fractions as num/den)
+    SCHEDULE <regime>:<start>:<end>;...
     MEASURE <trial_id> <regime> <t>
     RESULT <trial_id> <node_id> <+1|-1>
     ERROR <trial_id> <node_id> <reason>
@@ -32,7 +32,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ProtocolError
+from .dist import parse_rational, rational_text
+from .errors import DomainError, ProtocolError
 from .ghz import (
     NODES,
     NodeAssignment,
@@ -48,6 +49,9 @@ from .ghz import (
 
 #: Every message kind with its number of payload fields.
 KINDS = {"HELLO": 1, "SCHEDULE": 1, "MEASURE": 3, "RESULT": 3, "ERROR": 3, "DONE": 0}
+
+#: Largest frame in bytes, newline included; the default SCHEDULE is ~80.
+MAX_FRAME = 4096
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,10 @@ class WireMessage:
 
 def encode_frame(message: WireMessage) -> bytes:
     payload = message.payload().encode("ascii")
-    return b"%d %s\n" % (len(payload), payload)
+    frame = b"%d %s\n" % (len(payload), payload)
+    if len(frame) > MAX_FRAME:
+        raise ProtocolError(f"{message.kind} frame of {len(frame)} bytes exceeds {MAX_FRAME}")
+    return frame
 
 
 def decode_payload(payload: str) -> WireMessage:
@@ -79,41 +86,20 @@ def decode_payload(payload: str) -> WireMessage:
 
 
 def read_frame(reader) -> WireMessage | None:
-    """Read one frame from a binary file-like; None on clean EOF."""
-    prefix = b""
-    while True:
-        byte = reader.read(1)
-        if not byte:
-            if prefix:
-                raise ProtocolError("truncated frame length")
-            return None
-        if byte == b" ":
-            break
-        if not byte.isdigit():
-            raise ProtocolError(f"bad length byte {byte!r}")
-        prefix += byte
-    length = int(prefix)
-    payload = reader.read(length)
-    if len(payload) != length or reader.read(1) != b"\n":
-        raise ProtocolError("truncated frame payload")
-    return decode_payload(payload.decode("ascii"))
-
-
-def fraction_to_wire(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def fraction_from_wire(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    try:
-        return Fraction(int(num), int(den or "1"))
-    except (ValueError, ZeroDivisionError):
-        raise ProtocolError(f"bad wire fraction {text!r}") from None
+    """Read one frame (one line: no field holds whitespace) from a binary file-like; None on EOF."""
+    line = reader.readline(MAX_FRAME)
+    if not line:
+        return None
+    prefix, _, payload = line.partition(b" ")
+    if not (line.endswith(b"\n") and line.isascii() and prefix.isdigit()
+            and int(prefix) == len(payload) - 1):
+        raise ProtocolError(f"malformed, oversized or truncated frame {line[:40]!r}")
+    return decode_payload(payload[:-1].decode("ascii"))
 
 
 def schedule_to_wire(schedule: Schedule) -> str:
     return ";".join(
-        f"{w.regime.value}:{fraction_to_wire(w.start)}:{fraction_to_wire(w.end)}"
+        f"{w.regime.value}:{rational_text(w.start)}:{rational_text(w.end)}"
         for w in schedule.windows
     )
 
@@ -124,10 +110,10 @@ def schedule_from_wire(text: str) -> Schedule:
         for chunk in text.split(";"):
             regime, start, end = chunk.split(":")
             windows.append(
-                Window(Regime(regime), fraction_from_wire(start), fraction_from_wire(end))
+                Window(Regime(regime), parse_rational(start), parse_rational(end))
             )
         return Schedule(tuple(windows))
-    except ValueError as exc:  # a wrong field count, regime or window (DomainError)
+    except ValueError as exc:  # a wrong field count, regime, number or window (DomainError)
         raise ProtocolError(f"bad schedule {text!r}: {exc}") from None
 
 
@@ -172,7 +158,10 @@ def load_transcript(path) -> SessionTranscript:
             line = line.rstrip("\n")
             if not line:
                 continue
-            seq, timestamp, direction, payload = line.split("\t", 3)
+            parts = line.split("\t", 3)
+            if len(parts) != 4 or not parts[0].isdigit():
+                raise ProtocolError(f"transcript line {line[:40]!r} is not seq, time, direction, payload")
+            seq, timestamp, direction, payload = parts
             transcript.entries.append(
                 TranscriptEntry(int(seq), timestamp, direction, decode_payload(payload))
             )
@@ -184,6 +173,8 @@ class _Peer:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        # SCHEDULE gets no reply, so with Nagle the first MEASURE would wait for a delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.reader = sock.makefile("rb")
 
     def send(self, message: WireMessage) -> None:
@@ -245,7 +236,7 @@ def coordinator_run(
         for regime in REGIME_ORDER:
             for t in window_times(schedule, regime, seed, trials_per_regime):
                 measure = WireMessage(
-                    "MEASURE", (str(trial_id), regime.value, fraction_to_wire(t))
+                    "MEASURE", (str(trial_id), regime.value, rational_text(t))
                 )
                 outputs: dict[int, int] = {}
                 for node, peer in peers.items():
@@ -328,26 +319,19 @@ def node_serve(
                 schedule = schedule_from_wire(message.fields[0])
             elif message.kind == "MEASURE":
                 trial_id, regime_text, t_text = message.fields
-                if schedule is None:
-                    peer.send(
-                        WireMessage("ERROR", (trial_id, str(node_id), "no-schedule"))
-                    )
-                    continue
-                t = fraction_from_wire(t_text)
-                try:
-                    outcome = node_output(
-                        assignment, schedule, node_id, Regime(regime_text), t
-                    )
-                except Exception:
-                    peer.send(
-                        WireMessage(
-                            "ERROR", (trial_id, str(node_id), "out-of-window")
-                        )
-                    )
-                    continue
-                peer.send(
-                    WireMessage("RESULT", (trial_id, str(node_id), f"{outcome:+d}"))
-                )
+                kind, reply = "ERROR", "no-schedule"
+                if schedule is not None:
+                    try:
+                        t = parse_rational(t_text)
+                    except DomainError as exc:
+                        raise ProtocolError(f"bad MEASURE time: {exc}") from None
+                    try:
+                        outcome = node_output(assignment, schedule, node_id, Regime(regime_text), t)
+                    except ValueError:  # an unknown regime, or t outside its window
+                        reply = "out-of-window"
+                    else:
+                        kind, reply = "RESULT", f"{outcome:+d}"
+                peer.send(WireMessage(kind, (trial_id, str(node_id), reply)))
             else:
                 raise ProtocolError(f"unexpected {message.kind} at node")
     finally:
@@ -387,30 +371,34 @@ def verify_transcript(
         to_node = entry.direction.startswith("coord>")
         if message.kind == "RESULT" and to_node:
             forwarding.append(f"entry {entry.seq}: RESULT sent toward a node")
-        if message.kind == "SCHEDULE":
-            schedule = schedule_from_wire(message.fields[0])
-        elif message.kind == "MEASURE":
-            trial_id = int(message.fields[0])
-            node = int(entry.direction.removeprefix("coord>node"))
-            measures[(trial_id, str(node))] = (
-                Regime(message.fields[1]),
-                fraction_from_wire(message.fields[2]),
-            )
-        elif message.kind == "RESULT" and not to_node:
-            trial_id, node_text, outcome_text = message.fields
-            key = (int(trial_id), node_text)
-            if key not in measures or schedule is None:
-                mismatches.append(f"entry {entry.seq}: RESULT without matching MEASURE")
-                continue
-            regime, t = measures[key]
-            expected = node_output(assignment, schedule, int(node_text), regime, t)
-            checked += 1
-            if expected != int(outcome_text):
-                mismatches.append(
-                    f"trial {trial_id} node {node_text}: got {outcome_text}, expected {expected:+d}"
+        try:
+            if message.kind == "SCHEDULE":
+                schedule = schedule_from_wire(message.fields[0])
+            elif message.kind == "MEASURE":
+                trial_id = int(message.fields[0])
+                node = int(entry.direction.removeprefix("coord>node"))
+                measures[(trial_id, str(node))] = (
+                    Regime(message.fields[1]),
+                    parse_rational(message.fields[2]),
                 )
-            results.setdefault(int(trial_id), {})[int(node_text)] = int(outcome_text)
-            trial_regime[int(trial_id)] = regime
+            elif message.kind == "RESULT" and not to_node:
+                trial_id, node_text, outcome_text = message.fields
+                key = (int(trial_id), node_text)
+                if key not in measures or schedule is None:
+                    mismatches.append(f"entry {entry.seq}: RESULT without matching MEASURE")
+                    continue
+                regime, t = measures[key]
+                expected = node_output(assignment, schedule, int(node_text), regime, t)
+                outcome = int(outcome_text)
+                checked += 1
+                if expected != outcome:
+                    mismatches.append(
+                        f"trial {trial_id} node {node_text}: got {outcome_text}, expected {expected:+d}"
+                    )
+                results.setdefault(int(trial_id), {})[int(node_text)] = outcome
+                trial_regime[int(trial_id)] = regime
+        except (ValueError, ProtocolError) as exc:  # a hostile field; DomainError is a ValueError
+            mismatches.append(f"entry {entry.seq}: {exc}")
     for trial_id, outputs in results.items():
         if len(outputs) == 3:
             product = outputs[1] * outputs[2] * outputs[3]

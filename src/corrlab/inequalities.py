@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dist import Rational
-from .errors import DomainError
+from .dist import covariance
 
 #: Cyclic role permutations for a triple (s_ab, s_ac, s_bc): each entry
 #: gives (lhs index 1, lhs index 2, bound index).
@@ -36,24 +35,15 @@ _PAIR_NAMES = ("ab", "ac", "bc")
 _FAMILIES = (("difference", "-", operator.sub), ("sum", "+", operator.add))
 
 
-def _check_covariance(value) -> Fraction:
-    sigma = Fraction(value) if isinstance(value, int) else value
-    if not isinstance(sigma, Fraction):
-        raise DomainError(f"covariance must be exact, got {value!r}")
-    if abs(sigma) > 1:
-        raise DomainError(f"covariance {sigma} outside [-1, 1]")
-    return sigma
-
-
 @dataclass(frozen=True)
 class BellTriple:
-    sigma_ab: Rational
-    sigma_ac: Rational
-    sigma_bc: Rational
+    sigma_ab: Fraction
+    sigma_ac: Fraction
+    sigma_bc: Fraction
 
     def __post_init__(self):
         for name in ("sigma_ab", "sigma_ac", "sigma_bc"):
-            object.__setattr__(self, name, _check_covariance(getattr(self, name)))
+            object.__setattr__(self, name, covariance(getattr(self, name)))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.sigma_ab, self.sigma_ac, self.sigma_bc)
@@ -61,14 +51,14 @@ class BellTriple:
 
 @dataclass(frozen=True)
 class ChshQuad:
-    sigma_ab: Rational
-    sigma_ac: Rational
-    sigma_db: Rational
-    sigma_dc: Rational
+    sigma_ab: Fraction
+    sigma_ac: Fraction
+    sigma_db: Fraction
+    sigma_dc: Fraction
 
     def __post_init__(self):
         for name in ("sigma_ab", "sigma_ac", "sigma_db", "sigma_dc"):
-            object.__setattr__(self, name, _check_covariance(getattr(self, name)))
+            object.__setattr__(self, name, covariance(getattr(self, name)))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.sigma_ab, self.sigma_ac, self.sigma_db, self.sigma_dc)

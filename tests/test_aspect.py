@@ -17,30 +17,35 @@ from corrlab.aspect import (
     sample_delayed_choice,
     simulate_source_model,
 )
+from corrlab.dist import covariance_of
 from corrlab.errors import DomainError, InsufficientDataError
 from corrlab.rng import SplitMix64, derive_seed
 
 QM_ANGLES = tuple(math.radians(d) for d in (135, 135, 135, 45))
 
 
+def row_covariance(matrix, label):
+    return covariance_of(matrix.rows[label], 0, 1)
+
+
 class TestMatrices:
     def test_qm_matrix_row_covariances(self):
         matrix = qm_matrix(QM_ANGLES)
-        r = matrix.row_covariance("ab")
+        r = row_covariance(matrix, "ab")
         assert abs(float(r) - 1 / math.sqrt(2)) < 1e-9
-        assert matrix.row_covariance("ac") == r
-        assert matrix.row_covariance("db") == r
-        assert abs(float(matrix.row_covariance("dc")) + 1 / math.sqrt(2)) < 1e-9
+        assert row_covariance(matrix, "ac") == r
+        assert row_covariance(matrix, "db") == r
+        assert abs(float(row_covariance(matrix, "dc")) + 1 / math.sqrt(2)) < 1e-9
 
     def test_gamma_max_matrix(self):
         matrix = gamma_max_matrix()
         for label in ("ab", "ac", "db"):
-            assert matrix.row_covariance(label) == 1
-        assert matrix.row_covariance("dc") == -1
+            assert row_covariance(matrix, label) == 1
+        assert row_covariance(matrix, "dc") == -1
 
     def test_matrix_from_covariances(self):
         matrix = matrix_from_covariances([Fraction(1, 2)] * 4)
-        assert all(matrix.row_covariance(label) == Fraction(1, 2) for label in ROW_LABELS)
+        assert all(row_covariance(matrix, label) == Fraction(1, 2) for label in ROW_LABELS)
 
     def test_row_validation(self):
         half = Fraction(1, 2)
@@ -50,6 +55,10 @@ class TestMatrices:
         with pytest.raises(DomainError):
             StochasticMatrix(
                 {"ab": good, "ac": good, "db": good, "dc": {(1, 1): Fraction(1, 3)}}
+            )
+        with pytest.raises(DomainError):  # masses are exact, as in every JointTable
+            StochasticMatrix(
+                {"ab": good, "ac": good, "db": good, "dc": {(1, 1): 0.5, (-1, -1): 0.5}}
             )
 
 

@@ -25,6 +25,7 @@ from corrlab.cli import (
 from corrlab.errors import DomainError
 from corrlab.ghz import REGIME_ORDER, Schedule, Window
 from corrlab.ghznet import schedule_to_wire
+from test_dist import REJECTED_RATIONALS
 
 
 words = st.from_regex(r"[a-z0-9][a-z0-9:./-]*", fullmatch=True)
@@ -263,6 +264,15 @@ class TestMainExitCodes:
             argv = ["--config", str(path)]
         assert main(argv) == EXIT_DOMAIN
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", REJECTED_RATIONALS)
+    def test_rejected_rational_exits_domain(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        config = f"mode = check\nsigmas = {text}, 0, 0\nprecision = {text}\n"
+        path.write_text(config, encoding="utf-8")
+        assert main(["--config", str(path)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "config error: sigmas:" in err and "config error: precision:" in err
 
     def test_closed_stdout_exits_ok(self):
         # The reader is gone before the report is written, as with `| head -1`.

@@ -9,11 +9,17 @@ from corrlab.dist import (
     covariance_of,
     marginalize,
     pair_table_from_covariance,
+    parse_rational,
     qm_covariance,
+    rational_text,
     rationalize,
     sign_vectors,
 )
 from corrlab.errors import DomainError
+
+#: Spellings that ``int``/``Fraction`` would read but the one rational text
+#: form rejects; the config and wire tests run them through their own entry.
+REJECTED_RATIONALS = ["1_0", "+1/2", "1/-2", "1/0", "\u0660", "", "1 /2"]
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -132,6 +138,22 @@ def test_joint_table_rejects_bad_mass():
         JointTable(1, {(1,): Fraction(3, 2), (-1,): Fraction(-1, 2)})
     with pytest.raises(DomainError):
         JointTable(2, {(1, 2): Fraction(1)})
+
+
+class TestRationalText:
+    @given(st.fractions())
+    def test_round_trip(self, value):
+        assert parse_rational(rational_text(value)) == value
+
+    def test_spellings(self):
+        texts = [rational_text(Fraction(n, d)) for n, d in ((2, 1), (-3, 7), (0, 5))]
+        assert texts == ["2", "-3/7", "0"]
+        assert parse_rational("1/1") == 1 and parse_rational("-04/6") == Fraction(-2, 3)
+
+    @pytest.mark.parametrize("text", REJECTED_RATIONALS)
+    def test_rejected(self, text):
+        with pytest.raises(DomainError):
+            parse_rational(text)
 
 
 def test_rationalize_precision():

@@ -4,10 +4,12 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from corrlab.dist import parse_rational, rational_text
 from corrlab.errors import ProtocolError
 from corrlab.ghz import (
     EXPECTED_PRODUCT,
@@ -17,13 +19,13 @@ from corrlab.ghz import (
     run_all_regimes,
 )
 from corrlab.ghznet import (
+    MAX_FRAME,
     SessionTranscript,
     WireMessage,
+    _Peer,
     coordinator_run,
     decode_payload,
     encode_frame,
-    fraction_from_wire,
-    fraction_to_wire,
     load_transcript,
     node_serve,
     read_frame,
@@ -31,6 +33,7 @@ from corrlab.ghznet import (
     schedule_to_wire,
     verify_transcript,
 )
+from test_dist import REJECTED_RATIONALS
 
 
 def start_nodes(count=3):
@@ -71,6 +74,25 @@ class TestWireFormat:
             read_frame(io.BytesIO(b"5 DON"))
         with pytest.raises(ProtocolError):
             read_frame(io.BytesIO(b"x DONE\n"))
+        with pytest.raises(ProtocolError):
+            read_frame(io.BytesIO(b"99999999999999999999 x"))
+
+    def test_frames_are_bounded(self):
+        with pytest.raises(ProtocolError):
+            encode_frame(WireMessage("SCHEDULE", ("x" * MAX_FRAME,)))
+        # A frame claiming 10^8 bytes must not make the reader allocate them.
+        left, right = socket.socketpair()
+        with left, right, right.makefile("rb") as reader:
+            left.sendall(b"100000000 MEASURE 0 yyx 3/2\n")
+            left.shutdown(socket.SHUT_WR)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProtocolError):
+                    read_frame(reader)
+                _size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
 
     def test_message_validation(self):
         with pytest.raises(ProtocolError):
@@ -84,10 +106,10 @@ class TestWireFormat:
 
     def test_fraction_codec(self):
         for value in (Fraction(5, 4), Fraction(-3, 7), Fraction(2)):
-            assert fraction_from_wire(fraction_to_wire(value)) == value
-        for bad in ("1/0", "x", "1/y", ""):
+            assert parse_rational(rational_text(value)) == value
+        for bad in REJECTED_RATIONALS + ["x", "1/y"]:
             with pytest.raises(ProtocolError):
-                fraction_from_wire(bad)
+                schedule_from_wire(f"yyx:{bad}:2")
 
     def test_schedule_codec(self):
         schedule = default_schedule()
@@ -102,10 +124,15 @@ class TestWireFormat:
 
 
 def raw_frame(payload: str) -> bytes:
-    return b"%d %s\n" % (len(payload), payload.encode("ascii"))
+    data = payload.encode("utf-8")
+    return b"%d %s\n" % (len(data), data)
 
 
-@pytest.mark.parametrize("payload", ["RESULT", "MEASURE 0 yyx 1/0", "MEASURE 0 yyx", "SCHEDULE"])
+@pytest.mark.parametrize(
+    "payload",
+    ["RESULT", "MEASURE 0 yyx", "SCHEDULE"]
+    + [f"MEASURE 0 yyx {bad}" for bad in REJECTED_RATIONALS],
+)
 def test_malformed_frame_ends_node_with_exit_4(tmp_path, payload):
     config = tmp_path / "node.cfg"
     config.write_text("mode = ghz-net-node\nrole = node1\nlisten = 127.0.0.1:0\n")
@@ -236,3 +263,60 @@ class TestSession:
         )
         assert transcript.aborted_reason is not None
         assert transcript.void_trials == [0]
+
+
+def test_peers_disable_nagle():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = _Peer(socket.create_connection(server.getsockname()))
+        node = _Peer(server.accept()[0])
+    try:
+        for peer in (client, node):
+            assert peer.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+    finally:
+        client.close()
+        node.close()
+
+
+def test_node_answers_bad_measures_with_error():
+    (endpoint,), (thread,) = start_nodes(1)
+    with socket.create_connection(endpoint, timeout=10) as conn, conn.makefile("rb") as reader:
+        for payload, reply in [
+            ("MEASURE 0 yyx 3/2", "ERROR 0 1 no-schedule"),
+            ("SCHEDULE " + schedule_to_wire(default_schedule()), None),
+            ("MEASURE 1 zzz 3/2", "ERROR 1 1 out-of-window"),
+            ("MEASURE 2 yyx 9/2", "ERROR 2 1 out-of-window"),
+            ("MEASURE 3 yyx 3/2", "RESULT 3 1 -1"),
+        ]:
+            conn.sendall(encode_frame(decode_payload(payload)))
+            if reply is not None:
+                assert read_frame(reader) == decode_payload(reply)
+        conn.sendall(encode_frame(WireMessage("DONE")))
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+#: Hostile transcript lines after a default SCHEDULE, as "direction<TAB>payload".
+HOSTILE_TRANSCRIPTS = {
+    "outcome-not-a-sign": ["coord>node1\tMEASURE 0 yyx 3/2", "node1>coord\tRESULT 0 1 x"],
+    "direction-not-a-node": ["coord>nodeX\tMEASURE 0 yyx 3/2"],
+    "unknown-regime": ["coord>node1\tMEASURE 0 zzz 3/2"],
+    "time-outside-window": ["coord>node1\tMEASURE 0 yyx 9/2", "node1>coord\tRESULT 0 1 +1"],
+    "unknown-node": ["coord>node7\tMEASURE 0 yyx 3/2", "node7>coord\tRESULT 0 7 +1"],
+    "too-few-tabs": ["coord>node1 MEASURE 0 yyx 3/2"],
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_TRANSCRIPTS)
+def test_hostile_transcript_is_reported(tmp_path, case):
+    schedule = "coord>node1\tSCHEDULE " + schedule_to_wire(default_schedule())
+    lines = [schedule] + HOSTILE_TRANSCRIPTS[case]
+    path = tmp_path / "session.log"
+    stamp = "2026-01-01T00:00:00"
+    path.write_text("".join(f"{seq}\t{stamp}\t{line}\n" for seq, line in enumerate(lines)))
+    if case == "too-few-tabs":
+        with pytest.raises(ProtocolError):
+            load_transcript(path)
+        return
+    report = verify_transcript(load_transcript(path))
+    assert not report.ok
+    assert len(report.mismatches) == 1
