@@ -216,12 +216,7 @@ def _source_counts(model: SourceModel, trials: int, seed: int) -> list[list[int]
 
 def simulate_source_model(model: SourceModel, trials: int, seed: int) -> GammaEstimate:
     """Sample the model with independent uniform setting choices per side."""
-    table = {label: dict.fromkeys(_OUTCOMES, 0) for label in ROW_LABELS}
-    for (lam, _), rows in zip(model.support, _source_counts(model, trials, seed)):
-        for label, n in zip(ROW_LABELS, rows):
-            outcome = (model.responses[(label[0], lam)], model.responses[(label[1], lam)])
-            table[label][outcome] += n
-    return estimate_gamma(table)
+    return run_source_model(model, trials, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -246,21 +241,26 @@ class ReorderReport:
 
 def reorder_demonstration(model: SourceModel, trials: int, seed: int) -> ReorderReport:
     """Group simulated trials by parameter into quadruples and check gamma = ±2."""
+    return run_source_model(model, trials, seed)[1]
+
+
+def run_source_model(model: SourceModel, trials: int, seed: int) -> tuple[GammaEstimate, ReorderReport]:
+    """The gamma estimate and the reordering report of one seeded run, drawn once."""
     counts = _source_counts(model, trials, seed)
+    table = {label: dict.fromkeys(_OUTCOMES, 0) for label in ROW_LABELS}
     gammas: set[int] = set()
     quadruples = 0
     discarded = 0
-    # A row's product is fixed per parameter, so every complete quadruple of
-    # one parameter has the same gamma.
-    for (label, _), rows in zip(model.support, counts):
+    for (lam, _), rows in zip(model.support, counts):
+        for label, n in zip(ROW_LABELS, rows):
+            outcome = (model.responses[(label[0], lam)], model.responses[(label[1], lam)])
+            table[label][outcome] += n
+        # A row's product is fixed per parameter, so every complete quadruple
+        # of one parameter has the same gamma.
         complete = min(rows)
         quadruples += complete
         discarded += sum(rows) - 4 * complete
         if complete:
-            products = [model.row_product(row, label) for row in ROW_LABELS]
+            products = [model.row_product(row, lam) for row in ROW_LABELS]
             gammas.add(products[0] + products[1] + products[2] - products[3])
-    return ReorderReport(
-        quadruples=quadruples,
-        discarded=discarded,
-        gammas_seen=tuple(sorted(gammas)),
-    )
+    return estimate_gamma(table), ReorderReport(quadruples, discarded, tuple(sorted(gammas)))

@@ -33,9 +33,8 @@ from .aspect import (
     matrix_from_covariances,
     qm_matrix,
     random_source_model,
-    reorder_demonstration,
+    run_source_model,
     sample_delayed_choice,
-    simulate_source_model,
 )
 from .dist import (
     DEFAULT_PRECISION,
@@ -53,8 +52,7 @@ from .ghz import (
     REGIME_ORDER,
     default_assignment,
     default_schedule,
-    marginal_balance,
-    run_all_regimes,
+    output_counts,
 )
 from .ghznet import (
     coordinator_run,
@@ -121,9 +119,16 @@ def _parse_mode(text: str) -> str:
     return text
 
 
+def integer(text: str) -> int:
+    """An integer written ``-?[0-9]+`` in ASCII digits, as ``parse_rational`` reads one."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def positive_int(text: str) -> int:
     """An integer >= 1, such as a trial count."""
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise ValueError(f"{value} is not an integer >= 1")
     return value
@@ -137,7 +142,7 @@ def _parse_precision(text: str) -> Fraction:
 
 
 def _parse_rademacher(text: str) -> tuple[int, int, int]:
-    indices = tuple(int(part) for part in text.split(","))
+    indices = tuple(integer(part.strip()) for part in text.split(","))
     if len(indices) != 3 or len(set(indices)) != 3 or min(indices) < 1:
         raise ValueError("rademacher needs three distinct indices >= 1")
     return indices
@@ -145,9 +150,11 @@ def _parse_rademacher(text: str) -> tuple[int, int, int]:
 
 def _parse_schedule(text: str) -> str:
     try:
-        schedule_from_wire(text)
+        schedule = schedule_from_wire(text)
     except ProtocolError as exc:
         raise ValueError(exc) from None
+    for regime in REGIME_ORDER:
+        schedule.window_for(regime)  # a DomainError, so a ValueError, names a missing one
     return text
 
 
@@ -183,7 +190,7 @@ KEYS = {
                _join(lambda angle: f"{angle!r} rad")),
     "matrix": (str, str),
     "trials": (positive_int, str),
-    "seed": (int, str),
+    "seed": (integer, str),
     "lambdas": (positive_int, str),
     "precision": (_parse_precision, rational_text),
     "rademacher": (_parse_rademacher, _join(str)),
@@ -416,24 +423,19 @@ def _run_aspect(config, report, out_path):
 def _run_source(config, report, out_path):
     trials = config.trials or 100_000
     model = random_source_model(config.seed, config.lambdas)
-    estimate = simulate_source_model(model, trials, config.seed)
-    reorder = reorder_demonstration(model, trials, config.seed)
-    report.results.append(("support_size", str(len(model.support))))
-    report.results.append(("gamma", f"{estimate.gamma:.6f}"))
-    report.results.append(("standard_error", f"{estimate.standard_error:.6f}"))
+    estimate, reorder = run_source_model(model, trials, config.seed)
     bound_ok = abs(estimate.gamma) <= 2 + 5 * estimate.standard_error
-    report.results.append(("within_bound", str(bound_ok).lower()))
-    report.results.append(("quadruples", str(reorder.quadruples)))
-    report.results.append(("discarded_trials", str(reorder.discarded)))
-    report.results.append(
-        ("quadruple_gammas", ", ".join(map(str, reorder.gammas_seen)))
-    )
-    report.results.append(
-        ("all_quadruples_pm2", str(reorder.all_plus_minus_two).lower())
-    )
-    report.results.append(
-        ("grouping_note", "greedy arrival-order grouping; remainder discarded")
-    )
+    report.results.extend([
+        ("support_size", str(len(model.support))),
+        ("gamma", f"{estimate.gamma:.6f}"),
+        ("standard_error", f"{estimate.standard_error:.6f}"),
+        ("within_bound", str(bound_ok).lower()),
+        ("quadruples", str(reorder.quadruples)),
+        ("discarded_trials", str(reorder.discarded)),
+        ("quadruple_gammas", ", ".join(map(str, reorder.gammas_seen))),
+        ("all_quadruples_pm2", str(reorder.all_plus_minus_two).lower()),
+        ("grouping_note", "greedy arrival-order grouping; remainder discarded"),
+    ])
     report.summary = (
         f"gamma = {estimate.gamma:.4f} ± {estimate.standard_error:.4f}; "
         f"quadruple gammas {list(reorder.gammas_seen)}"
@@ -448,20 +450,19 @@ def _run_ghz(config, report, out_path):
     schedule = _ghz_schedule(config)
     assignment = default_assignment(config.rademacher)
     trials = config.trials or 100_000
-    by_regime = run_all_regimes(schedule, trials, config.seed, assignment)
+    tables = {r: output_counts(schedule, r, trials, config.seed, assignment) for r in REGIME_ORDER}
     products_exact = True
-    for regime in REGIME_ORDER:
+    for regime, table in tables.items():
         counts = {}
-        for trial in by_regime[regime]:
-            counts[trial.product] = counts.get(trial.product, 0) + 1
+        for (o1, o2, o3), n in table.items():
+            counts[o1 * o2 * o3] = counts.get(o1 * o2 * o3, 0) + n
         report.results.append(_product_line(regime.value, counts))
-        if set(counts) != {EXPECTED_PRODUCT[regime]}:
-            products_exact = False
+        products_exact &= set(counts) == {EXPECTED_PRODUCT[regime]}
     report.results.append(("products_exact", str(products_exact).lower()))
     for node in NODES:
         balances = ", ".join(
-            f"{regime.value}:{marginal_balance(by_regime[regime], node):.4f}"
-            for regime in REGIME_ORDER
+            f"{regime.value}:{sum(n for o, n in table.items() if o[node - 1] == 1) / trials:.4f}"
+            for regime, table in tables.items()
         )
         report.results.append((f"balance[node{node}]", balances))
     report.summary = f"products exact: {products_exact} ({trials} trials/regime)"

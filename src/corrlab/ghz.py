@@ -9,10 +9,13 @@ yyx, yxy and xyy trial and exactly +1 in every xxx trial, while each
 individual output is +1 half of the time — all without any station seeing
 another station's output.
 
-Times are exact rationals and r_k is evaluated through the parity of
-floor(2^k t), never through floating trigonometry, so the product
-identities hold with zero tolerance.  At an exact sine zero the sign is
-defined as +1; uniform sampling hits such points with probability zero.
+Times are exact rationals and r_k is evaluated in integers, never through
+floating trigonometry, so the product identities hold with zero tolerance.
+For t = num/den > 0, reduced or not, let x = num * (2^k mod 2den) mod 2den.
+floor(2^k t) is even exactly when x < den, and x = 0 or x = den is an exact
+sine zero, whose sign is defined as +1 (uniform sampling hits one with
+probability zero); so r_k(t) = +1 if x <= den, else -1.  The multiplier is
+computed once per index and denominator, so the cost does not grow with k.
 """
 
 from __future__ import annotations
@@ -46,21 +49,23 @@ EXPECTED_PRODUCT = {
 NODES = (1, 2, 3)
 
 
-def rademacher(k: int, t: Fraction) -> int:
-    """r_k(t) = sign(sin(2^k pi t)) for t > 0, with sign(0) := +1.
+def _multipliers(indices: Sequence[int], den: int) -> list[int]:
+    """2^k mod 2den for each index k: all that r_k needs at times over ``den``."""
+    return [pow(2, k, 2 * den) for k in indices]
 
-    sin(pi u) is positive exactly when floor(u) is even (and u not integral),
-    so the value reduces to the parity of floor(2^k t).
-    """
-    if k < 1:
-        raise DomainError("Rademacher index must be >= 1")
-    t = Fraction(t)
-    if t <= 0:
-        raise DomainError("Rademacher functions are defined for t > 0 only")
-    quotient, remainder = divmod(t.numerator << k, t.denominator)
-    if remainder == 0:
-        return 1  # exact sine zero
-    return 1 if quotient % 2 == 0 else -1
+
+def _output(sign: int, multipliers: Sequence[int], num: int, den: int) -> int:
+    """``sign`` times r_k(num/den) for each k behind ``multipliers``, by the rule above."""
+    modulus = 2 * den
+    for multiplier in multipliers:
+        if num * multiplier % modulus > den:
+            sign = -sign
+    return sign
+
+
+def rademacher(k: int, t: Fraction) -> int:
+    """r_k(t) = sign(sin(2^k pi t)) for t > 0, with sign(0) := +1."""
+    return Response(1, (k,))(t)
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,11 @@ class Response:
             raise DomainError("Rademacher indices must be >= 1")
 
     def __call__(self, t: Fraction) -> int:
-        value = self.sign
-        for k in self.indices:
-            value *= rademacher(k, t)
-        return value
+        t = Fraction(t)
+        if t <= 0:
+            raise DomainError("Rademacher functions are defined for t > 0 only")
+        den = t.denominator
+        return _output(self.sign, _multipliers(self.indices, den), t.numerator, den)
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,16 @@ class TrialTriple:
 TIME_DENOMINATOR_BITS = 32
 
 
-def draw_time(window: Window, rng: SplitMix64) -> Fraction:
-    """Uniform rational time on the 2^-32 grid strictly inside the window."""
+def _numerators(schedule: Schedule, regime: Regime, seed: int, count: int):
+    """The window's time denominator and its first ``count`` seeded numerators:
+    with start a/b and width c/d, grid point m in [1, 2^32) is the time
+    (a*d*2^32 + m*c*b) / (b*d*2^32), start + m/2^32 * width unreduced."""
+    window = schedule.window_for(regime)
+    (a, b), (c, d) = window.start.as_integer_ratio(), (window.end - window.start).as_integer_ratio()
     grid = 1 << TIME_DENOMINATOR_BITS
-    offset = Fraction(1 + rng.below(grid - 1), grid)
-    return window.start + offset * (window.end - window.start)
+    base, step = a * d * grid, c * b
+    rng = SplitMix64(derive_seed(seed, f"ghz:{Regime(regime).value}"))
+    return b * d * grid, (base + (1 + rng.below(grid - 1)) * step for _ in range(count))
 
 
 def window_times(schedule: Schedule, regime: Regime, seed: int, count: int) -> Iterator[Fraction]:
@@ -220,10 +231,22 @@ def window_times(schedule: Schedule, regime: Regime, seed: int, count: int) -> I
     The in-process run and the networked coordinator both draw from here,
     which is what makes a networked session equal the in-process one.
     """
-    window = schedule.window_for(regime)
-    rng = SplitMix64(derive_seed(seed, f"ghz:{Regime(regime).value}"))
-    for _ in range(count):
-        yield draw_time(window, rng)
+    den, numerators = _numerators(schedule, regime, seed, count)
+    return (Fraction(num, den) for num in numerators)
+
+
+def _trials(schedule, regime, samples, seed, assignment):
+    """The window's time denominator and each trial's (numerator, outputs); drawn
+    times are interior, so the window check of :func:`node_output` is skipped."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    responses = [(assignment or default_assignment()).response(node, regime) for node in NODES]
+    den, numerators = _numerators(schedule, regime, seed, samples)
+    (s1, m1), (s2, m2), (s3, m3) = [(r.sign, _multipliers(r.indices, den)) for r in responses]
+    return den, (
+        (num, (_output(s1, m1, num, den), _output(s2, m2, num, den), _output(s3, m3, num, den)))
+        for num in numerators
+    )
 
 
 def run_window(
@@ -235,19 +258,17 @@ def run_window(
 ) -> list[TrialTriple]:
     """Sample shared measurement times in the regime's window and record all
     three outputs per trial.  Deterministic given the seed."""
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    regime = Regime(regime)
-    if assignment is None:
-        assignment = default_assignment()
-    # drawn times are interior by construction, so the per-trial window check
-    # in node_output is skipped here
-    responses = tuple(assignment.response(node, regime) for node in NODES)
-    trials = []
-    for t in window_times(schedule, regime, seed, samples):
-        outputs = tuple(response(t) for response in responses)
-        trials.append(TrialTriple(regime, t, outputs))
-    return trials
+    den, trials = _trials(schedule, regime, samples, seed, assignment)
+    return [TrialTriple(Regime(regime), Fraction(num, den), outputs) for num, outputs in trials]
+
+
+def output_counts(schedule: Schedule, regime: Regime, samples: int, seed: int,
+                  assignment: NodeAssignment | None = None) -> dict[tuple[int, int, int], int]:
+    """Trials per output triple over the trials of :func:`run_window`, keeping none."""
+    counts: dict[tuple[int, int, int], int] = {}
+    for _num, outputs in _trials(schedule, regime, samples, seed, assignment)[1]:
+        counts[outputs] = counts.get(outputs, 0) + 1
+    return counts
 
 
 def run_all_regimes(

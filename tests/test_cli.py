@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,8 +38,8 @@ endpoints = st.builds(
 
 @st.composite
 def schedules(draw):
-    """Wire text of a valid schedule: ordered windows, one regime each."""
-    regimes = draw(st.permutations(REGIME_ORDER))[: draw(st.integers(1, 4))]
+    """Wire text of a valid schedule: ordered windows, one for each regime."""
+    regimes = draw(st.permutations(REGIME_ORDER))
     bounds = sorted(draw(st.sets(
         st.fractions(min_value=Fraction(1, 1000), max_value=100, max_denominator=1000),
         min_size=2 * len(regimes), max_size=2 * len(regimes),
@@ -194,6 +196,24 @@ class TestReports:
         report = run(parse_config("mode = ghz\nseed = 6\ntrials = 500\n"))
         assert dict(report.results)["products_exact"] == "true"
 
+    def test_ghz_report_keeps_no_trials(self):
+        # A list of 4 x 20,000 trials would hold about 28 MB.
+        config = parse_config("mode = ghz\nseed = 6\ntrials = 20000\n")
+        tracemalloc.start()
+        try:
+            run(config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_huge_rademacher_index_is_cheap(self, tmp_path, capsys):
+        path = tmp_path / "ghz.cfg"
+        path.write_text("mode = ghz\nseed = 1\ntrials = 5\nrademacher = 1, 2, 1000000000000\n")
+        start = time.perf_counter()
+        assert main(["--config", str(path), "--summary"]) == EXIT_OK
+        assert time.perf_counter() - start < 1
+
 
 class TestMainExitCodes:
     def test_preset_summary(self, capsys):
@@ -251,11 +271,28 @@ class TestMainExitCodes:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config_text, argv", [
+        ("mode = source\nseed = \u0665\n", []),
+        ("mode = source\nseed = 1\ntrials = 1_000\n", []),
+        ("mode = source\nseed = 1\nlambdas = +3\n", []),
+        ("mode = ghz\nseed = 1\nrademacher = 1, 2, \uff13\n", []),
+        (None, ["--preset", "ghz-table5", "--seed", "\u0665"]),
+        (None, ["--preset", "ghz-table5", "--trials", "1_000"]),
+    ])
+    def test_integers_are_ascii_digits_only(self, tmp_path, capsys, config_text, argv):
+        if config_text is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config_text, encoding="utf-8")
+            argv = ["--config", str(path)]
+        assert main(argv) == EXIT_DOMAIN
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text, argv", [
         ("mode = ghz\nseed = 1\nschedule = garbage\n", []),
         ("mode = ghz\nseed = 1\nschedule = yyx:1/0:2\n", []),
         ("mode = ghz-net-coordinator\nseed = 1\n"
          "nodes = 127.0.0.1:x, 127.0.0.1:1, 127.0.0.1:1\n", []),
         (None, ["--preset", "ghz-table5", "--nodes", "127.0.0.1:x,127.0.0.1:1,127.0.0.1:1"]),
+        ("mode = ghz\nseed = 1\ntrials = 5\nschedule = yyx:1:2\n", []),
     ])
     def test_bad_schedule_or_nodes_exit_domain(self, tmp_path, capsys, config_text, argv):
         if config_text is not None:

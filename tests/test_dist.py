@@ -84,6 +84,12 @@ class TestCovarianceOf:
         with pytest.raises(DomainError):
             covariance_of(uniform_joint(2), 0, 5)
 
+    def test_index_equal_to_arity(self):
+        joint = uniform_joint(3)
+        for i, j in [(joint.arity, 0), (0, joint.arity)]:
+            with pytest.raises(DomainError):
+                covariance_of(joint, i, j)
+
 
 class TestMarginalize:
     def test_uniform_triple_to_pair(self):

@@ -15,16 +15,31 @@ from corrlab.ghz import (
     Window,
     default_assignment,
     default_schedule,
-    draw_time,
     marginal_balance,
     node_output,
+    output_counts,
     rademacher,
     run_all_regimes,
     run_window,
+    window_times,
 )
+from corrlab.ghznet import schedule_from_wire
 from corrlab.rng import SplitMix64
 
 times = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(100))
+
+#: Windows whose starts and widths are not dyadic, so sampled times are not
+#: on a power-of-two grid and no r_k with a large k is an exact zero.
+NON_DYADIC = "yyx:1/3:5/7;yxy:1:3/2;xyy:2:5;xxx:6:61/10"
+BOTH_SCHEDULES = pytest.mark.parametrize("wire", [None, NON_DYADIC], ids=["default", "non-dyadic"])
+
+
+def reference_rademacher(k, t):
+    """r_k(t) from the definition: the parity of floor(2^k t), +1 at a sine zero."""
+    u = t * 2**k
+    if u.denominator == 1:
+        return 1
+    return 1 if math.floor(u) % 2 == 0 else -1
 
 
 class TestRademacher:
@@ -53,6 +68,27 @@ class TestRademacher:
     def test_halving_relation(self, t):
         # r_{k+1}(t) = r_k(2t) by definition of the dyadic squeeze.
         assert rademacher(2, t) == rademacher(1, 2 * t)
+
+    @given(st.integers(1, 200), st.fractions(
+        min_value=Fraction(1, 10**6), max_value=100, max_denominator=10**15))
+    def test_matches_floor_parity_reference(self, k, t):
+        assert rademacher(k, t) == reference_rademacher(k, t)
+
+    @given(st.integers(1, 200), st.data())
+    def test_exact_zeros_and_their_neighbours(self, k, data):
+        # j/2^m with m <= k is a sine zero of r_k; an odd multiple of 2^-(k+1)
+        # lies midway between two zeros.
+        j = data.draw(st.integers(1, 10**6))
+        t = Fraction(j, 2 ** data.draw(st.integers(0, k)))
+        assert rademacher(k, t) == reference_rademacher(k, t) == 1
+        t = Fraction(2 * j - 1, 2 ** (k + 1))
+        assert rademacher(k, t) == reference_rademacher(k, t)
+
+    def test_huge_index_costs_no_more(self):
+        # 2^k t would be a 125 GB integer; the rule needs 2^k mod 2den only.
+        # 2^(10^12) = 2 (mod 14), so 2^k * 5/7 is 10/7 plus an even integer.
+        t = Fraction(5, 7)
+        assert rademacher(10**12, t) == reference_rademacher(1, t) == -1
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -150,12 +186,44 @@ class TestRunWindow:
             for node in NODES:
                 assert abs(marginal_balance(trials, node) - 0.5) < slack
 
-    def test_draw_time_strictly_interior(self):
-        window = Window(Regime.YYX, Fraction(1), Fraction(2))
-        rng = SplitMix64(0)
-        for _ in range(100):
-            t = draw_time(window, rng)
-            assert window.start < t < window.end
+    @BOTH_SCHEDULES
+    def test_window_times_strictly_interior(self, wire):
+        schedule = default_schedule() if wire is None else schedule_from_wire(wire)
+        for regime in REGIME_ORDER:
+            window = schedule.window_for(regime)
+            for t in window_times(schedule, regime, 0, 100):
+                assert window.start < t < window.end
+
+    @given(st.lists(st.integers(1, 200), min_size=3, max_size=3, unique=True))
+    @settings(max_examples=25, deadline=None)
+    def test_sampled_outputs_match_the_reference(self, indices):
+        assignment = default_assignment(tuple(indices))
+        schedule = schedule_from_wire(NON_DYADIC)
+        for regime in REGIME_ORDER:
+            for trial in run_window(schedule, regime, 20, seed=3, assignment=assignment):
+                for node, output in zip(NODES, trial.outputs):
+                    response = assignment.response(node, regime)
+                    expected = response.sign
+                    for k in response.indices:
+                        expected *= reference_rademacher(k, trial.t)
+                    assert output == expected
+
+    @BOTH_SCHEDULES
+    @pytest.mark.parametrize("indices", [(1, 2, 3), (4, 5, 6)])
+    def test_output_counts_tally_run_all_regimes(self, wire, indices):
+        schedule = default_schedule() if wire is None else schedule_from_wire(wire)
+        assignment = default_assignment(indices)
+        for seed in range(1, 21):
+            by_regime = run_all_regimes(schedule, 200, seed, assignment)
+            for regime in REGIME_ORDER:
+                expected = {}
+                for trial in by_regime[regime]:
+                    expected[trial.outputs] = expected.get(trial.outputs, 0) + 1
+                assert output_counts(schedule, regime, 200, seed, assignment) == expected
+
+    def test_output_counts_need_a_trial(self):
+        with pytest.raises(DomainError):
+            output_counts(default_schedule(), Regime.YYX, 0, seed=1)
 
 
 class TestCounterfactual:

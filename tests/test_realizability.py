@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from corrlab.dist import JointTable, marginalize, rationalize, sign_vectors
 from corrlab.errors import CapacityError, DomainError
 from corrlab.realizability import (
+    DEFAULT_ARITY_CAP,
     FeasibilityResult,
     MarginalSystem,
     build_constraint_system,
@@ -53,9 +54,10 @@ class TestBuildConstraintSystem:
         assert all(len(row) == 16 for row in encoded.matrix)
 
     def test_arity_cap(self):
-        system = MarginalSystem(13, ())
+        encoded = build_constraint_system(MarginalSystem(DEFAULT_ARITY_CAP, ()))
+        assert len(encoded.atoms) == 2**DEFAULT_ARITY_CAP
         with pytest.raises(CapacityError):
-            build_constraint_system(system)
+            build_constraint_system(MarginalSystem(DEFAULT_ARITY_CAP + 1, ()))
 
 
 class TestCheckRealizability:
@@ -125,6 +127,17 @@ class TestVerifyCertificate:
             certificate=result.certificate[:-1] + (result.certificate[-1] + 1,),
         )
         assert not verify_certificate(table1_system(), tampered)
+
+    def test_rejects_certificate_with_a_positive_atom_score(self):
+        # The gain equals the claimed margin, but every atom in the first
+        # cell scores 1/2 > 0, so the functional separates nothing.
+        system = table1_system()
+        encoded = build_constraint_system(system)
+        certificate = (Fraction(1, 2),) + (Fraction(0),) * (len(encoded.cells) - 1)
+        forged = FeasibilityResult(
+            feasible=False, margin=encoded.rhs[0] / 2, certificate=certificate
+        )
+        assert not verify_certificate(system, forged)
 
 
 class TestAgainstBruteForceOracle:
