@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dist import JointTable, pair_table_from_covariance, qm_covariance
+from .dist import JointTable, pair_table_from_covariance
 from .errors import DomainError, InsufficientDataError
 from .rng import SplitMix64, derive_seed
 
@@ -64,13 +64,6 @@ class GammaEstimate:
     row_counts: Mapping[str, int]
     gamma: float
     standard_error: float
-
-
-def qm_matrix(angles_radians: Sequence[float]) -> StochasticMatrix:
-    """Sampling table whose rows carry covariance -cos(angle) per setting pair."""
-    if len(angles_radians) != 4:
-        raise DomainError("need exactly four angles for (ab, ac, db, dc)")
-    return matrix_from_covariances([qm_covariance(angle) for angle in angles_radians])
 
 
 def gamma_max_matrix() -> StochasticMatrix:

@@ -11,6 +11,9 @@ valid config reproducing the run, followed by a ``[result]`` block.
 renderer.  The table drives the key check and conversion in
 :func:`parse_config`, the ``[provenance]`` echo of every key that differs
 from its :class:`ExperimentConfig` default, and the command-line overrides.
+:data:`MODES` is the single place a mode is defined: its runner and the keys it
+reads and needs.  A key the mode does not read is a config error, and
+:func:`run` checks a config built in code by parsing its ``[provenance]``.
 
 Exit codes: 0 success, 2 domain/config error, 3 capacity error, 4 network
 or protocol failure.  A reader that closes stdout early is not a failure.
@@ -22,7 +25,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import __version__
@@ -31,7 +34,6 @@ from .aspect import (
     estimate_gamma,
     gamma_max_matrix,
     matrix_from_covariances,
-    qm_matrix,
     random_source_model,
     run_source_model,
     sample_delayed_choice,
@@ -74,8 +76,6 @@ from .realizability import (
     verify_certificate,
 )
 
-STOCHASTIC_MODES = {"aspect", "source", "ghz", "ghz-net-coordinator"}
-
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CAPACITY = 3
@@ -113,9 +113,9 @@ def _parse_angle(text: str) -> float:
     raise ValueError(f"angle {text!r} needs a 'deg' or 'rad' suffix")
 
 
-def _parse_mode(text: str) -> str:
-    if text not in RUNNERS:
-        raise ValueError(f"unknown mode {text!r}")
+def _choice(text: str, what: str, choices) -> str:
+    if text not in choices:
+        raise ValueError(f"unknown {what} {text!r} (have: {', '.join(choices)})")
     return text
 
 
@@ -183,12 +183,12 @@ def _join(render):
 #: ``parse`` turns the config text into the ``ExperimentConfig`` field value
 #: and raises ValueError on bad input; ``render`` writes the value back.
 KEYS = {
-    "mode": (_parse_mode, str),
+    "mode": (lambda text: _choice(text, "mode", MODES), str),
     "sigmas": (lambda text: [covariance(parse_rational(part.strip())) for part in text.split(",")],
                _join(rational_text)),
     "angles": (lambda text: [_parse_angle(part) for part in text.split(",")],
                _join(lambda angle: f"{angle!r} rad")),
-    "matrix": (str, str),
+    "matrix": (lambda text: _choice(text, "matrix", ("gamma-max",)), str),
     "trials": (positive_int, str),
     "seed": (integer, str),
     "lambdas": (positive_int, str),
@@ -196,7 +196,7 @@ KEYS = {
     "rademacher": (_parse_rademacher, _join(str)),
     "schedule": (_parse_schedule, str),
     "nodes": (endpoint_list, _join(str)),
-    "role": (str, str),
+    "role": (lambda text: _choice(text, "role", ("node1", "node2", "node3")), str),
     "listen": (endpoint, str),
 }
 
@@ -204,17 +204,17 @@ KEYS = {
 _OVERRIDES = {
     "seed": "override the config seed",
     "trials": "override the config trial count",
-    "role": "ghz-net role: coordinator or nodeN",
+    "role": "ghz-net-node role: node1, node2 or node3",
     "listen": "ghz-net-node listen address host:port",
     "nodes": "ghz-net-coordinator node addresses, comma separated",
 }
 
 
-def parse_config(text: str, require_seed: bool = True) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse the documented key = value format, collecting all errors.
 
-    ``require_seed`` is dropped when the caller can supply a seed some other
-    way, e.g. the command-line override flag.
+    ``overrides`` (the command-line flags, already parsed) replace the keys of
+    the same name before the config is checked against :data:`MODES`.
     """
     values: dict[str, str] = {}
     problems: list[str] = []
@@ -241,13 +241,11 @@ def parse_config(text: str, require_seed: bool = True) -> ExperimentConfig:
             settings[key] = KEYS[key][0](value)
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
+    settings.update(overrides or {})
     if "mode" not in values:
         problems.append("missing mandatory key 'mode'")
-    if "sigmas" in values and "angles" in values:
-        problems.append("'sigmas' and 'angles' conflict; give one of them")
-    mode = settings.get("mode")
-    if require_seed and mode in STOCHASTIC_MODES and "seed" not in settings:
-        problems.append(f"mode {mode!r} is stochastic: 'seed' is mandatory")
+    elif "mode" in settings:
+        problems += _schema_problems(ExperimentConfig(**settings), values.keys() | settings.keys())
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(**settings)
@@ -299,18 +297,31 @@ def _provenance(config: ExperimentConfig) -> list[tuple[str, str]]:
     return pairs
 
 
-def _sigmas_for(config: ExperimentConfig, counts: tuple[int, ...]) -> list[Fraction]:
-    """The covariances from ``sigmas`` or ``angles``; their number must be in ``counts``."""
+def _schema_problems(config: ExperimentConfig, given) -> list[str]:
+    """Every way ``config``, which sets the keys in ``given``, breaks its row of :data:`MODES`."""
+    _run, reads, needs, lengths = MODES[config.mode]
+    name = f"mode {config.mode!r}"
+    problems = [f"{name} does not read {k!r}" for k in KEYS if k in given and k not in ("mode", *reads)]
+    for group in needs:
+        keys = group.split("|")
+        have = [repr(key) for key in keys if key in given]
+        if len(have) != 1:
+            problems.append(f"{' and '.join(have)} conflict; give one of them" if have
+                            else f"{name} needs {' or '.join(map(repr, keys))}")
+    if "precision" in given and "precision" in reads and "angles" not in given:
+        problems.append("'precision' applies only to 'angles'")
+    for key, allowed in lengths.items():
+        value = getattr(config, key)
+        if value is not None and len(value) not in allowed:
+            problems.append(f"{name} needs {' or '.join(map(str, allowed))} {key}, not {len(value)}")
+    return problems
+
+
+def _sigmas_for(config: ExperimentConfig) -> list[Fraction]:
+    """The covariances from ``sigmas``, or from ``angles`` at ``precision``."""
     if config.sigmas is not None:
-        sigmas = config.sigmas
-    elif config.angles is not None:
-        sigmas = [qm_covariance(a, config.precision) for a in config.angles]
-    else:
-        raise DomainError(f"mode {config.mode!r} needs 'sigmas' or 'angles'")
-    if len(sigmas) not in counts:
-        wanted = " or ".join(map(str, counts))
-        raise DomainError(f"mode {config.mode!r} needs {wanted} covariances (or angles)")
-    return sigmas
+        return config.sigmas
+    return [qm_covariance(a, config.precision) for a in config.angles]
 
 
 def _verdict_lines(family: str, verdicts, results: list[tuple[str, str]]) -> None:
@@ -352,21 +363,22 @@ def _realizability_lines(system, results: list[tuple[str, str]]):
 
 
 def run(config: ExperimentConfig, out_path: str | None = None) -> Report:
-    """Dispatch a validated config to its mode runner."""
+    """Dispatch a config to its mode runner once its ``[provenance]`` echo parses."""
     report = Report(provenance=_provenance(config))
-    RUNNERS[config.mode](config, report, out_path)
+    parse_config(report.provenance_text())  # a ConfigError names every defect
+    MODES[config.mode][0](config, report, out_path)
     return report
 
 
 def _run_check(config, report, out_path):
-    sigmas = _sigmas_for(config, (3, 4))
+    sigmas = _sigmas_for(config)
     system = triangle_system(sigmas) if len(sigmas) == 3 else four_cycle_system(sigmas)
     outcome = _realizability_lines(system, report.results)
     report.summary = f"{outcome.verdict} (margin {float(outcome.margin):.6f})"
 
 
 def _run_bell(config, report, out_path):
-    triple = BellTriple(*_sigmas_for(config, (3,)))
+    triple = BellTriple(*_sigmas_for(config))
     verdicts = bell_check_all(triple)
     _verdict_lines("bell", verdicts, report.results)
     report.results.append(
@@ -380,7 +392,7 @@ def _run_bell(config, report, out_path):
 
 
 def _run_chsh(config, report, out_path):
-    quad = ChshQuad(*_sigmas_for(config, (4,)))
+    quad = ChshQuad(*_sigmas_for(config))
     value = chsh_value(quad)
     report.results.append(("chsh_value", rational_text(value)))
     report.results.append(("chsh_value_float", f"{float(value):.9f}"))
@@ -389,20 +401,8 @@ def _run_chsh(config, report, out_path):
     report.summary = f"chsh value {float(value):.4f}; realizability {outcome.verdict}"
 
 
-def _aspect_matrix(config):
-    if config.matrix == "gamma-max":
-        return gamma_max_matrix()
-    if config.matrix is not None:
-        raise DomainError(f"unknown matrix {config.matrix!r}")
-    if config.angles is not None:
-        return qm_matrix(config.angles)
-    if config.sigmas is not None:
-        return matrix_from_covariances(_sigmas_for(config, (4,)))
-    raise DomainError("aspect mode needs 'angles', 'sigmas' or matrix = gamma-max")
-
-
 def _run_aspect(config, report, out_path):
-    matrix = _aspect_matrix(config)
+    matrix = gamma_max_matrix() if config.matrix else matrix_from_covariances(_sigmas_for(config))
     trials = config.trials or 1_000_000
     records = sample_delayed_choice(matrix, trials, config.seed)
     estimate = estimate_gamma(records)
@@ -469,8 +469,6 @@ def _run_ghz(config, report, out_path):
 
 
 def _run_coordinator(config, report, out_path):
-    if not config.nodes or len(config.nodes) != 3:
-        raise DomainError("ghz-net-coordinator needs 'nodes' with three host:port entries")
     schedule = _ghz_schedule(config)
     trials = config.trials or 100
     endpoints = [_address(n) for n in config.nodes]
@@ -497,10 +495,6 @@ def _run_coordinator(config, report, out_path):
 
 
 def _run_node(config, report, out_path):
-    if config.role not in ("node1", "node2", "node3"):
-        raise DomainError("ghz-net-node needs role = node1|node2|node3")
-    if not config.listen:
-        raise DomainError("ghz-net-node needs listen = host:port")
     node_id = int(config.role[-1])
 
     def announce(address):
@@ -511,15 +505,21 @@ def _run_node(config, report, out_path):
     report.summary = f"node {node_id} session complete"
 
 
-RUNNERS = {
-    "check": _run_check,
-    "bell": _run_bell,
-    "chsh": _run_chsh,
-    "aspect": _run_aspect,
-    "source": _run_source,
-    "ghz": _run_ghz,
-    "ghz-net-coordinator": _run_coordinator,
-    "ghz-net-node": _run_node,
+_PAIR = ("sigmas", "angles", "precision")
+_GHZ = ("trials", "seed", "schedule", "rademacher")
+
+#: Every mode: (runner, keys it reads, keys it needs, lengths of its list keys).
+#: A needed ``a|b`` takes exactly one of a and b.  :func:`_schema_problems` applies it.
+MODES = {
+    "check": (_run_check, _PAIR, ["sigmas|angles"], {"sigmas": (3, 4), "angles": (3, 4)}),
+    "bell": (_run_bell, _PAIR, ["sigmas|angles"], {"sigmas": (3,), "angles": (3,)}),
+    "chsh": (_run_chsh, _PAIR, ["sigmas|angles"], {"sigmas": (4,), "angles": (4,)}),
+    "aspect": (_run_aspect, (*_PAIR, "matrix", "trials", "seed"), ["sigmas|angles|matrix", "seed"],
+               {"sigmas": (4,), "angles": (4,)}),
+    "source": (_run_source, ("trials", "seed", "lambdas"), ["seed"], {}),
+    "ghz": (_run_ghz, _GHZ, ["seed"], {}),
+    "ghz-net-coordinator": (_run_coordinator, (*_GHZ, "nodes"), ["seed", "nodes"], {"nodes": (3,)}),
+    "ghz-net-node": (_run_node, ("role", "listen", "rademacher"), ["role", "listen"], {}),
 }
 
 
@@ -529,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint-distribution realizability checks and locality experiments.",
         exit_on_error=False,
     )
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--preset", help="named built-in configuration")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="path to a key = value config file")
+    source.add_argument("--preset", help="named built-in configuration")
     parser.add_argument("--out", help="write the report (or transcript) to this path")
     parser.add_argument("--summary", action="store_true", help="print the one-line summary only")
     for key, help_text in _OVERRIDES.items():
@@ -545,19 +546,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        if args.config and args.preset:
-            raise DomainError("--config and --preset are mutually exclusive")
+        overrides = {k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
-                config = parse_config(handle.read(), require_seed=args.seed is None)
+                config = parse_config(handle.read(), overrides)
         elif args.preset:
-            config = preset_config(args.preset)
+            config = replace(preset_config(args.preset), **overrides)
         else:
             raise DomainError("one of --config or --preset is required")
-        for key in _OVERRIDES:
-            if getattr(args, key) is not None:
-                setattr(config, key, getattr(args, key))
-
         report = run(config, out_path=args.out)
     except ConfigError as exc:
         for problem in exc.problems:

@@ -19,14 +19,14 @@ import pytest
 from corrlab.aspect import (
     estimate_gamma,
     gamma_max_matrix,
-    qm_matrix,
+    matrix_from_covariances,
     random_source_model,
     reorder_demonstration,
     sample_delayed_choice,
     simulate_source_model,
 )
 from corrlab.cli import preset_config, run
-from corrlab.dist import marginalize, rationalize
+from corrlab.dist import marginalize, qm_covariance, rationalize
 from corrlab.ghz import (
     EXPECTED_PRODUCT,
     NODES,
@@ -145,8 +145,9 @@ def test_criterion_4_inequalities_equivalent_to_realizability(announce):
 
 def test_criterion_5_gamma_beyond_two(announce):
     with criterion(announce, 5, "gamma near 2*sqrt(2) for the quantum table and near 4 at the extreme", 60.0):
-        angles = tuple(math.radians(d) for d in (135, 135, 135, 45))
-        estimate = estimate_gamma(sample_delayed_choice(qm_matrix(angles), 1_000_000, seed=20260824))
+        angles = [math.radians(d) for d in (135, 135, 135, 45)]
+        matrix = matrix_from_covariances([qm_covariance(angle) for angle in angles])
+        estimate = estimate_gamma(sample_delayed_choice(matrix, 1_000_000, seed=20260824))
         assert abs(estimate.gamma - 2 * math.sqrt(2)) <= 5 * estimate.standard_error
 
         extreme = estimate_gamma(sample_delayed_choice(gamma_max_matrix(), 1_000_000, seed=20260824))

@@ -11,17 +11,17 @@ from corrlab.aspect import (
     estimate_gamma,
     gamma_max_matrix,
     matrix_from_covariances,
-    qm_matrix,
     random_source_model,
     reorder_demonstration,
     sample_delayed_choice,
     simulate_source_model,
 )
-from corrlab.dist import covariance_of
+from corrlab.dist import covariance_of, qm_covariance
 from corrlab.errors import DomainError, InsufficientDataError
 from corrlab.rng import SplitMix64, derive_seed
 
 QM_ANGLES = tuple(math.radians(d) for d in (135, 135, 135, 45))
+QM_MATRIX = matrix_from_covariances([qm_covariance(angle) for angle in QM_ANGLES])
 
 
 def row_covariance(matrix, label):
@@ -30,7 +30,7 @@ def row_covariance(matrix, label):
 
 class TestMatrices:
     def test_qm_matrix_row_covariances(self):
-        matrix = qm_matrix(QM_ANGLES)
+        matrix = QM_MATRIX
         r = row_covariance(matrix, "ab")
         assert abs(float(r) - 1 / math.sqrt(2)) < 1e-9
         assert row_covariance(matrix, "ac") == r
@@ -68,7 +68,7 @@ def row_totals(counts):
 
 class TestSampling:
     def test_deterministic_given_seed_and_shards(self):
-        matrix = qm_matrix(QM_ANGLES)
+        matrix = QM_MATRIX
         a = sample_delayed_choice(matrix, 2000, seed=11)
         b = sample_delayed_choice(matrix, 2000, seed=11)
         assert a == b
@@ -80,7 +80,7 @@ class TestSampling:
 
     def test_counts_add_up_to_trials(self):
         for trials in (1, 7, 100):
-            counts = sample_delayed_choice(qm_matrix(QM_ANGLES), trials, seed=5)
+            counts = sample_delayed_choice(QM_MATRIX, trials, seed=5)
             assert sorted(counts) == sorted(ROW_LABELS)
             assert all(len(row) == 4 for row in counts.values())
             assert sum(row_totals(counts).values()) == trials
@@ -107,7 +107,7 @@ class TestEstimateGamma:
         assert estimate.standard_error == 0.0
 
     def test_qm_estimate_near_two_sqrt_two(self):
-        counts = sample_delayed_choice(qm_matrix(QM_ANGLES), 200000, seed=42)
+        counts = sample_delayed_choice(QM_MATRIX, 200000, seed=42)
         estimate = estimate_gamma(counts)
         assert abs(estimate.gamma - 2 * math.sqrt(2)) < 5 * estimate.standard_error
         assert 0 < estimate.standard_error < 0.01

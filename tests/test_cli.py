@@ -1,21 +1,23 @@
 import math
 import os
+import socket
 import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from corrlab import cli
 from corrlab.cli import (
     ConfigError,
     EXIT_DOMAIN,
     EXIT_NETWORK,
     EXIT_OK,
-    RUNNERS,
-    STOCHASTIC_MODES,
+    MODES,
     ExperimentConfig,
     Report,
     _provenance,
@@ -24,13 +26,13 @@ from corrlab.cli import (
     preset_config,
     run,
 )
+from corrlab.dist import qm_covariance
 from corrlab.errors import DomainError
 from corrlab.ghz import REGIME_ORDER, Schedule, Window
 from corrlab.ghznet import schedule_to_wire
 from test_dist import REJECTED_RATIONALS
 
 
-words = st.from_regex(r"[a-z0-9][a-z0-9:./-]*", fullmatch=True)
 endpoints = st.builds(
     "{}:{}".format, st.from_regex(r"[a-z0-9.-]*", fullmatch=True), st.integers(0, 65535)
 )
@@ -48,21 +50,51 @@ def schedules(draw):
     return schedule_to_wire(Schedule(tuple(Window(*w) for w in windows)))
 
 
-#: A value strategy for every config key except ``mode``.
+#: A value strategy for every config key except ``mode``; for a list key
+#: (``sigmas``, ``angles``, ``nodes``), the strategy of one entry.
 CONFIG_VALUES = {
     "seed": st.integers(-(2**63), 2**64),
     "trials": st.integers(1, 10**9),
-    "sigmas": st.lists(st.fractions(-1, 1, max_denominator=10**9), min_size=1, max_size=4),
-    "angles": st.lists(st.floats(-10, 10), min_size=1, max_size=4),
-    "matrix": words,
+    "sigmas": st.fractions(-1, 1, max_denominator=10**9),
+    "angles": st.floats(-10, 10),
+    "matrix": st.just("gamma-max"),
     "precision": st.fractions(min_value=Fraction(1, 10**12), max_value=1),
     "lambdas": st.integers(1, 64),
     "rademacher": st.lists(st.integers(1, 64), min_size=3, max_size=3, unique=True).map(tuple),
     "schedule": schedules(),
-    "role": words,
+    "role": st.sampled_from(["node1", "node2", "node3"]),
     "listen": endpoints,
-    "nodes": st.lists(endpoints, min_size=1, max_size=3),
+    "nodes": endpoints,
 }
+
+NODE_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "ghz-node.cfg"
+
+
+def mode_settings(mode):
+    """Settings of every key that ``mode`` reads, each with the lengths and
+    partners that the mode's row of ``MODES`` allows."""
+    _run, reads, needs, lengths = MODES[mode]
+    values = {
+        key: st.sampled_from(lengths[key]).flatmap(
+            lambda n, item=CONFIG_VALUES[key]: st.lists(item, min_size=n, max_size=n))
+        if key in lengths else CONFIG_VALUES[key]
+        for key in reads
+    }
+
+    @st.composite
+    def draw_settings(draw):
+        settings = draw(st.fixed_dictionaries({}, optional=values))
+        for group in needs:
+            keys = group.split("|")
+            keep = draw(st.sampled_from(keys))
+            for key in keys:
+                settings.pop(key, None)
+            settings[keep] = draw(values[keep])
+        if "angles" not in settings:
+            settings.pop("precision", None)
+        return settings
+
+    return draw_settings()
 
 
 class TestParseConfig:
@@ -165,16 +197,21 @@ class TestReports:
         body = text.split("\n[result]\n")[1]
         assert all("=" in line for line in body.strip().splitlines())
 
-    @given(st.sampled_from(sorted(RUNNERS)), st.data())
+    @given(st.sampled_from(sorted(MODES)), st.data())
     def test_provenance_reproduces_every_key(self, mode, data):
-        settings = data.draw(st.fixed_dictionaries({}, optional=CONFIG_VALUES))
-        if "sigmas" in settings:
-            settings.pop("angles", None)  # the two keys conflict
-        if mode in STOCHASTIC_MODES:
-            settings.setdefault("seed", 1)
+        settings = data.draw(mode_settings(mode))
         config = ExperimentConfig(mode=mode, **settings)
         echoed = Report(provenance=_provenance(config)).provenance_text()
         assert parse_config(echoed) == config
+
+    def test_aspect_angles_read_precision(self):
+        config = parse_config(
+            "mode = aspect\nangles = 0 deg, 45 deg, 90 deg, 135 deg\n"
+            "precision = 1/10\nseed = 3\ntrials = 1000\n"
+        )
+        sigmas = [qm_covariance(angle, Fraction(1, 10)) for angle in config.angles]
+        population = dict(run(config).results)["population_gamma"]
+        assert population == f"{float(sum(sigmas[:3]) - sigmas[3]):.6f}" != "-2.414214"
 
     def test_bell_mode_three_facts(self):
         report = run(
@@ -324,6 +361,62 @@ class TestMainExitCodes:
             os.close(write_end)
         assert proc.returncode == EXIT_OK
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("config_text, argv, expected", [
+        ("mode = check\nsigmas = 0, 0, 0\ntrials = 5\nlambdas = 3\nmatrix = nonsense\n"
+         "rademacher = 4, 5, 6\nrole = node9\nschedule = xxx:1/4:1;xyy:1:2;yxy:3:7/2;yyx:4:8\n"
+         "nodes = 127.0.0.1:1, 127.0.0.1:2\n", [],
+         ["matrix: unknown matrix 'nonsense' (have: gamma-max)",
+          "role: unknown role 'node9' (have: node1, node2, node3)"]
+         + [f"mode 'check' does not read '{key}'" for key in
+            ("matrix", "trials", "lambdas", "rademacher", "schedule", "nodes", "role")]),
+        ("mode = aspect\nseed = 1\nsigmas = 0, 0, 0\n", [], ["mode 'aspect' needs 4 sigmas, not 3"]),
+        ("mode = ghz-net-node\nrole = node1\n", [], ["mode 'ghz-net-node' needs 'listen'"]),
+        ("mode = aspect\nseed = 1\nmatrix = gamma-max\nsigmas = 0, 0, 0, 0\n", [],
+         ["'sigmas' and 'matrix' conflict; give one of them"]),
+        ("mode = check\nsigmas = 0, 0, 0\nprecision = 1/10\n", [],
+         ["'precision' applies only to 'angles'"]),
+        ("mode = ghz-net-coordinator\nseed = 1\nnodes = 127.0.0.1:1, 127.0.0.1:2\n", [],
+         ["mode 'ghz-net-coordinator' needs 3 nodes, not 2"]),
+        (None, ["--preset", "vorobev-table1", "--seed", "5"], ["mode 'check' does not read 'seed'"]),
+    ], ids=["check-unread-keys", "aspect-three-sigmas", "node-without-listen",
+            "aspect-matrix-and-sigmas", "precision-with-sigmas", "coordinator-two-nodes",
+            "deterministic-preset-seed"])
+    def test_schema_rule_exits_domain(self, tmp_path, capsys, config_text, argv, expected):
+        if config_text is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config_text)
+            argv = ["--config", str(path)]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sorted(captured.err.splitlines()) == sorted(f"config error: {p}" for p in expected)
+
+    @pytest.mark.parametrize("config, problem", [
+        (ExperimentConfig(mode="chsh", sigmas=[Fraction(0)] * 4, lambdas=3),
+         "mode 'chsh' does not read 'lambdas'"),
+        (ExperimentConfig(mode="aspect", matrix="nonsense", seed=1),
+         "matrix: unknown matrix 'nonsense' (have: gamma-max)"),
+        (ExperimentConfig(mode="source", seed=1, trials=0), "trials: 0 is not an integer >= 1"),
+    ], ids=["unread-key", "unknown-matrix", "zero-trials"])
+    def test_code_built_config_checked_by_run(self, config, problem):
+        with pytest.raises(ConfigError) as excinfo:
+            run(config)
+        assert excinfo.value.problems == [problem]
+
+    @pytest.mark.parametrize("role", ["node1", "node2", "node3"])
+    def test_bench_node_config_takes_role_flag(self, monkeypatch, capsys, role):
+        served = []
+        monkeypatch.setattr(socket, "socket", lambda *a, **k: pytest.fail("a socket was opened"))
+        monkeypatch.setattr(cli, "node_serve", lambda node, _assignment, address, _announce:
+                            served.append((node, address)))
+        assert main(["--config", str(NODE_CONFIG), "--role", role]) == EXIT_OK
+        assert served == [(int(role[-1]), ("127.0.0.1", 0))]
+
+    def test_bench_node_config_needs_role(self, monkeypatch, capsys):
+        monkeypatch.setattr(socket, "socket", lambda *a, **k: pytest.fail("a socket was opened"))
+        assert main(["--config", str(NODE_CONFIG)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "config error: mode 'ghz-net-node' needs 'role'\n"
 
     def test_seed_override(self, tmp_path, capsys):
         path = tmp_path / "ghz.cfg"
